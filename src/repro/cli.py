@@ -688,7 +688,9 @@ def _run_remote_campaign(
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import contextlib
     import os
+    import signal
 
     from .service import Scheduler, create_backend
     from .service.http import DEFAULT_HOST, DEFAULT_PORT, ServiceServer
@@ -713,6 +715,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     async def body():
+        # SIGTERM cancels this task like Ctrl-C does, so the ``finally``
+        # below shuts the backend down instead of orphaning pool workers.
+        with contextlib.suppress(NotImplementedError):  # no signals on Windows
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGTERM, asyncio.current_task().cancel
+            )
         server = ServiceServer(scheduler, host, port)
         await server.start()
         cache = (
@@ -728,7 +736,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     try:
         asyncio.run(body())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         print("campaign service stopped", file=sys.stderr)
     return 0
 

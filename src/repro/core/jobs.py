@@ -69,7 +69,10 @@ __all__ = [
 #: plan family (``plan: "representative"``), and stratified window
 #: features moved to the vectorized sweep, changing which windows a
 #: stratified plan selects for equal parameters.
-CACHE_SCHEMA_VERSION = 5
+#: Version 6: sampled simulations estimate the instruction miss ratio
+#: from ``IFETCH`` references alone (``FETCH`` records no longer count),
+#: matching :attr:`SimulationReport.instruction_miss_ratio`.
+CACHE_SCHEMA_VERSION = 6
 
 _WRITE_POLICIES = {
     "copy-back": WritePolicy(WriteStrategy.COPY_BACK, allocate_on_write=True),

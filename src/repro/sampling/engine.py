@@ -588,12 +588,12 @@ def sampled_simulate(
         overall = report.overall
         miss_num[w] = (
             overall.misses,
-            overall.ifetch.misses + overall.fetch.misses,
+            overall.ifetch.misses,
             overall.read.misses + overall.write.misses,
         )
         miss_den[w] = (
             overall.references,
-            overall.ifetch.references + overall.fetch.references,
+            overall.ifetch.references,
             overall.read.references + overall.write.references,
         )
         traffic[w] = (

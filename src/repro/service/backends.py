@@ -34,6 +34,7 @@ from __future__ import annotations
 import asyncio
 import os
 import pickle
+import stat
 import struct
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -87,6 +88,33 @@ class InlineBackend:
         return None
 
 
+def _drop_inherited_sockets() -> None:
+    """Pool-worker initializer: release every socket forked from the service.
+
+    A forked worker holds a copy of each socket the service had open at
+    that instant: the listener and any client connection.  A connection
+    ends only when its last copy closes, so an SSE stream copied into a
+    worker would never reach end-of-file after ``campaign_finished``.
+    Workers talk to the pool over pipes, so each socket descriptor is
+    pointed at ``/dev/null`` — not closed, because the inherited socket
+    objects may still close their descriptor numbers later.
+    """
+    try:
+        descriptors = [int(name) for name in os.listdir("/dev/fd")]
+    except OSError:
+        return
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in descriptors:
+            try:
+                if fd != null and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(null, fd, inheritable=False)
+            except OSError:
+                pass  # the listing's own descriptor, already closed
+    finally:
+        os.close(null)
+
+
 class PoolBackend:
     """A ``ProcessPoolExecutor`` — ``run_campaign``'s pool, served async.
 
@@ -94,6 +122,11 @@ class PoolBackend:
     (``REPRO_WORKERS``, then CPU count).  ``BrokenProcessPool`` takes
     down every in-flight future at once; each affected cell surfaces as
     :class:`BackendCrash` and the pool is rebuilt for subsequent cells.
+
+    The pool starts workers lazily, while the service holds client
+    sockets open; every worker (of the first pool and of each rebuilt
+    one) lets go of the sockets it inherited before it takes a cell — see
+    :func:`_drop_inherited_sockets`.
     """
 
     name = "pool"
@@ -104,9 +137,14 @@ class PoolBackend:
         self._pool: ProcessPoolExecutor | None = None
         self._generation = 0
 
+    def _new_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=self.capacity, initializer=_drop_inherited_sockets
+        )
+
     async def start(self) -> None:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.capacity)
+            self._pool = self._new_pool()
 
     async def run(self, cell: CampaignCell) -> CellResult:
         if self._pool is None:
@@ -120,7 +158,7 @@ class PoolBackend:
             # the generation already advanced and just re-raise.
             if self._generation == generation:
                 self._generation += 1
-                self._pool = ProcessPoolExecutor(max_workers=self.capacity)
+                self._pool = self._new_pool()
                 try:
                     pool.shutdown(wait=False, cancel_futures=True)
                 except Exception:

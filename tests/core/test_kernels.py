@@ -129,6 +129,45 @@ class TestReplayKernelEquivalence:
         assert kernel == generic
         assert kernel_state == generic_state
 
+    def test_size_sweep_reuses_one_bundle_per_stream(self, monkeypatch):
+        # A cold LRU sweep over one compiled trace builds one replay bundle
+        # per (cut, set count, purge schedule, write policy): neither the
+        # associativity nor the warmup enters it, so every fully associative
+        # size shares one, and a warmup rerun of any size reuses it.
+        from repro.core import kernels
+
+        builds = []
+        build = kernels._build_replay_bundle
+
+        def counting_build(*args):
+            builds.append(args[4:])  # (num_sets, purge_positions, copy_back)
+            return build(*args)
+
+        monkeypatch.setattr(kernels, "_build_replay_bundle", counting_build)
+        trace = random_trace(seed="bundle-sweep", length=3000)
+        expected = set()
+        for policy in (COPY_BACK, WRITE_THROUGH_ALLOCATE):
+            for purge in (None, 700):
+                for ways in (None, 4):
+                    for capacity in (256, 512, 1024):
+                        geometry = CacheGeometry(capacity, 16, associativity=ways)
+                        expected.add((geometry.num_sets, purge, policy.is_copy_back))
+                        for warmup in (0, 900):
+                            make = lambda: UnifiedCache(geometry, write_policy=policy)
+                            (generic, generic_state), (kernel, kernel_state) = (
+                                reports_and_state(
+                                    trace, make, purge_interval=purge, warmup=warmup
+                                )
+                            )
+                            assert kernel == generic
+                            assert kernel_state == generic_state
+        built = [
+            (num_sets, purges.step if purges else None, copy_back)
+            for num_sets, purges, copy_back in builds
+        ]
+        assert len(built) == len(set(built))
+        assert set(built) == expected
+
     def test_kernel_resumes_from_existing_state(self):
         # A warm cache fed to the kernel must behave exactly like the same
         # warm cache fed to the generic engine (the kernel seeds its dicts

@@ -14,6 +14,7 @@ from repro.core.jobs import AssociativitySweepJob, SimulateJob, StackSweepJob
 from repro.trace import AccessKind
 from repro.sampling import (
     IntervalSampling,
+    RepresentativeSampling,
     SampledJob,
     SetSampling,
     calibrate,
@@ -231,6 +232,22 @@ class TestSampledSimulate:
         estimates = value.info.estimates
         assert estimates[1].contains(truth.instruction_miss_ratio)
         assert estimates[2].contains(truth.data_miss_ratio)
+
+    @pytest.mark.parametrize(
+        "plan",
+        [IntervalSampling(**PLAN_KW), RepresentativeSampling(window=1000, clusters=4)],
+        ids=["interval", "representative"],
+    )
+    def test_instruction_ratio_counts_ifetch_only(self, plan):
+        # M68000 traces record instruction fetches as FETCH, not IFETCH, so
+        # the exact instruction miss ratio is NaN; the estimate must agree.
+        trace = catalog.generate("PLO", LENGTH)
+        job = SimulateJob(size=1024)
+        truth = job.run(trace)
+        report = run_sampled(trace, job, plan).value
+        assert np.isnan(truth.instruction_miss_ratio)
+        assert np.isnan(report.instruction_miss_ratio)
+        assert not np.isnan(report.miss_ratio)
 
     def test_stitch_mode_covers_truth(self, traces):
         trace = traces["FGO1"]

@@ -11,17 +11,18 @@ from http.client import HTTPConnection
 
 import pytest
 
-from repro.core.jobs import CampaignCell, StackSweepJob, TraceSpec
+from repro.core.jobs import CampaignCell, StackSweepJob, TraceSpec, cell_key
 from repro.service import (
     BackgroundServer,
     InlineBackend,
+    PoolBackend,
     Scheduler,
     ServiceClient,
     ServiceError,
 )
 from repro.service.backends import BackendCrash
 
-from .helpers import fake_run, slow_fake_run
+from .helpers import crash_on_marker, fake_run, slow_fake_run
 
 LENGTH = 4_000
 
@@ -249,3 +250,38 @@ class TestSampledCampaigns:
             with pytest.raises(ServiceError) as excinfo:
                 client.submit(document)
             assert excinfo.value.status == 400
+
+
+class TestPoolStreams:
+    """Pool workers started while an SSE stream is open must not keep it
+    open: ``ServiceClient.run`` returns once the campaign finishes."""
+
+    def run_with_workers_started_late(self, tmp_path, backend, cells):
+        scheduler = Scheduler(
+            backend, cache=tmp_path / "cache", claim_timeout=1.0, poll=0.02
+        )
+        # Claims of a notional other scheduler hold every cell back until
+        # they go stale, so the pool starts its workers only after the
+        # client's event stream is connected.
+        for cell in cells:
+            assert scheduler.claims.try_claim(cell_key(cell))
+        with BackgroundServer(scheduler) as server:
+            # The socket timeout bounds the wait: a stream held open by a
+            # worker raises TimeoutError instead of hanging the test.
+            return ServiceClient(server.url, user="alice", timeout=15).run(cells)
+
+    def test_first_pool(self, tmp_path):
+        final = self.run_with_workers_started_late(
+            tmp_path, PoolBackend(2), make_cells(2)
+        )
+        assert final["status"] == "done"
+        assert final["simulated"] == 2 and final["failed"] == 0
+
+    def test_pool_rebuilt_after_a_crash(self, tmp_path):
+        cells = make_cells(3)
+        cells[0] = CampaignCell("CRASH", cells[0].trace, cells[0].job)
+        final = self.run_with_workers_started_late(
+            tmp_path, PoolBackend(1, runner=crash_on_marker), cells
+        )
+        assert final["status"] == "done"
+        assert final["failed"] == 1

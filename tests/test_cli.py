@@ -1,7 +1,16 @@
 """Tests for the command-line interface."""
 
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -235,6 +244,61 @@ class TestCampaignCommand:
         assert code == 0
         assert "Remote campaign miss ratios" in out
         assert "1 simulated" in out
+
+    @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+    def test_serve_stops_its_pool_workers_on_sigterm(self, tmp_path):
+        from repro.core.jobs import CampaignCell, SimulateJob, TraceSpec
+        from repro.service import ServiceClient
+
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        log = tmp_path / "serve.log"
+        with open(log, "wb") as stderr:
+            process = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--backend", "pool",
+                 "--workers", "2", "--port", "0",
+                 "--cache-dir", str(tmp_path / "cache")],
+                env=env, stdout=subprocess.DEVNULL, stderr=stderr,
+                start_new_session=True,
+            )
+        group = process.pid  # a new session leads its own process group
+
+        def group_alive():
+            try:
+                os.killpg(group, 0)
+            except ProcessLookupError:
+                return False
+            return True
+
+        try:
+            deadline = time.monotonic() + 60
+            url = None
+            while url is None and time.monotonic() < deadline:
+                assert process.poll() is None, log.read_text()
+                found = re.search(r"listening on (\S+)", log.read_text())
+                url = found.group(1) if found else time.sleep(0.05)
+            assert url is not None, "serve did not start listening"
+            cells = [
+                CampaignCell(f"c{i}", TraceSpec.catalog("ZGREP", 4_000 + i),
+                             SimulateJob(size=1024))
+                for i in range(2)
+            ]
+            final = ServiceClient(url, timeout=60).run(cells)
+            assert final["status"] == "done" and final["simulated"] == 2
+
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=60) == 0
+            deadline = time.monotonic() + 10
+            while group_alive() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not group_alive(), "serve left processes running"
+        finally:
+            if group_alive():
+                os.killpg(group, signal.SIGKILL)
+            process.wait()
 
     def test_unknown_trace_fails_fast(self, capsys):
         with pytest.raises(KeyError):
