@@ -7,11 +7,15 @@ Table 1 alone).  Every cell is independent, so the natural execution model
 is a process pool:
 
 * :func:`run_campaign` takes an iterable of
-  :class:`~repro.core.jobs.CampaignCell` and executes them across a
-  ``ProcessPoolExecutor``.  The worker count comes from ``os.cpu_count()``,
-  overridable with the ``REPRO_WORKERS`` environment variable (or the
-  ``workers=`` argument); ``REPRO_WORKERS=1`` falls back to plain
-  in-process serial execution, which is what you want under a debugger.
+  :class:`~repro.core.jobs.CampaignCell` and executes them through the
+  campaign service's cell path (:meth:`repro.service.Scheduler.obtain`)
+  on a process-pool backend.  The worker count comes from
+  ``os.cpu_count()``, overridable with the ``REPRO_WORKERS`` environment
+  variable (or the ``workers=`` argument); ``REPRO_WORKERS=1`` runs the
+  cells one at a time on the calling thread, which is what you want under
+  a debugger.  The call is synchronous even where an event loop is
+  already running (a notebook, an ``async def``): the campaign's own loop
+  then runs on a helper thread.
 * Results are merged **in submission order**, so a campaign's output is
   bit-identical no matter how many workers ran it or in which order the
   cells finished.
@@ -37,19 +41,20 @@ therefore degrades gracefully instead of failing all-or-nothing:
   so a re-run only re-executes the failures.  Pass
   ``raise_on_error=True`` to restore strict behavior (a
   :class:`CampaignError` after all cells have been collected).
-* **Retries** — transient failures (``OSError``, a broken process pool)
+* **Retries** — transient failures (``OSError``, a crashed pool worker)
   are retried with capped exponential backoff; ``REPRO_RETRIES`` /
   ``retries=`` bounds the retry count, ``REPRO_RETRY_BACKOFF`` /
   ``backoff=`` scales the delay.
 * **Timeouts** — with ``REPRO_CELL_TIMEOUT`` / ``timeout=`` set, a cell
-  whose worker runs longer than the limit is recorded as a failed
-  outcome (error type ``TimeoutError``) instead of hanging the campaign;
-  the stuck workers are terminated and the remaining cells finish
-  serially.  (Timeouts are enforced in pool mode only — a serial
-  in-process cell cannot be preempted.)
+  that runs longer than the limit is recorded as a failed outcome (error
+  type ``TimeoutError``) instead of hanging the campaign; the pool's
+  workers are terminated and the pool rebuilt, and the cells caught in
+  it are retried.  (Timeouts are enforced in pool mode only — a cell
+  running inside this process cannot be preempted.)
 * **Broken pools** — if the process pool dies (a worker was OOM-killed,
-  for example), the cells still pending are re-run serially in the main
-  process rather than crashing the campaign.
+  for example), the cells it held are retried on a rebuilt pool; a cell
+  whose every attempt crashed gets one last run inside this process
+  rather than crashing the campaign.
 * **Observability** — results are collected as they complete, so the
   ``progress`` callback genuinely streams (still in submission order),
   and every lifecycle step can be appended to a JSONL event log
@@ -72,15 +77,14 @@ time, references/second, and failure/retry counts per campaign, and
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import pickle
 import tempfile
 import time
-from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from collections.abc import Awaitable, Callable, Iterable, Sequence
+from dataclasses import dataclass
 from pathlib import Path
 
 from .core.jobs import CampaignCell, CellError, CellResult, cell_key, run_cell
@@ -112,16 +116,6 @@ EVENT_LOG_ENV = "REPRO_EVENT_LOG"
 DEFAULT_RETRIES = 2
 #: Default backoff base in seconds (attempt n sleeps ``base * 2**(n-1)``).
 DEFAULT_BACKOFF = 0.1
-#: Ceiling on a single backoff sleep, seconds.
-BACKOFF_CAP = 5.0
-
-#: Exception types treated as transient (worth retrying).  ``OSError``
-#: covers the resource-exhaustion family (EMFILE, ENOMEM, flaky NFS);
-#: :class:`BrokenProcessPool` is the pool itself dying under a cell.
-TRANSIENT_EXCEPTIONS = (OSError, BrokenProcessPool)
-
-#: Poll granularity of the pool-mode timeout watchdog, seconds.
-_WATCHDOG_TICK = 0.05
 
 _MISS = object()
 
@@ -144,26 +138,6 @@ def worker_count(workers: int | None = None) -> int:
         else:
             workers = os.cpu_count() or 1
     return max(1, workers)
-
-
-def _env_int(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    if not value:
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _env_float(name: str, default: float | None) -> float | None:
-    value = os.environ.get(name)
-    if not value:
-        return default
-    try:
-        return float(value)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
 
 
 class ResultCache:
@@ -471,34 +445,6 @@ def _resolve_events(events) -> tuple[EventLog | None, bool]:
     return EventLog(events), True
 
 
-def _is_transient(exc: BaseException) -> bool:
-    """Whether a cell failure is worth retrying."""
-    return isinstance(exc, TRANSIENT_EXCEPTIONS)
-
-
-def _sampling_event_fields(sampling) -> dict:
-    """JSON-able event-log fields for a sampled cell (empty if exact)."""
-    if sampling is None:
-        return {}
-    return {
-        "sampling": {
-            "plan": sampling.plan,
-            "unit": sampling.unit,
-            "units_sampled": sampling.units_sampled,
-            "units_total": sampling.units_total,
-            "sampled_references": sampling.measured_references,
-            "replayed_references": sampling.replayed_references,
-            "total_references": sampling.total_references,
-            "calibration_rounds": sampling.calibration_rounds,
-            "target_met": sampling.target_met,
-            "estimates": [
-                {"value": e.value, "ci": [e.ci_low, e.ci_high]}
-                for e in sampling.estimates
-            ],
-        }
-    }
-
-
 def _wrap_sampled(cells: list[CampaignCell], sampling) -> list[CampaignCell]:
     """Wrap every cell's job in a :class:`SampledJob` carrying ``sampling``.
 
@@ -522,19 +468,8 @@ def _wrap_sampled(cells: list[CampaignCell], sampling) -> list[CampaignCell]:
     return wrapped
 
 
-@dataclass
-class _Flight:
-    """Book-keeping for one pending cell (queued, in a pool, or retrying)."""
-
-    index: int
-    cell: CampaignCell
-    key: str
-    attempts: int = 0
-    running_since: float | None = field(default=None, repr=False)
-
-
 class _Recorder:
-    """Shared completion path: outcome slot, cache write, events, progress.
+    """Shared completion path: outcome slot, events, progress.
 
     Progress streams in submission order: the callback fires for outcome
     *i* as soon as outcomes ``0..i`` are all known, which with
@@ -547,24 +482,75 @@ class _Recorder:
 
     def __init__(
         self,
-        outcomes: list[CellOutcome | None],
-        store: ResultCache | None,
+        cells: list[CampaignCell],
+        keys: list[str],
         log: EventLog | None,
         progress: Callable[[CellOutcome], None] | None,
+        cell_event: Callable,
     ) -> None:
-        self._outcomes = outcomes
-        self._store = store
+        self.cells = cells
+        self.keys = keys
+        self.outcomes: list[CellOutcome | None] = [None] * len(cells)
         self._log = log
         self._progress = progress
+        self._cell_event = cell_event
         self._next_emit = 0
         self._callback_error_reported = False
 
+    def emit(self, event: str, **fields) -> None:
+        """Append one event to the log, if there is one."""
+        if self._log is not None:
+            self._log.emit(event, **fields)
+
+    def emitter(self, index: int) -> Callable[..., None]:
+        """``emit(event, **fields)`` tagged with cell ``index``'s identity."""
+        return functools.partial(
+            self.emit,
+            label=self.cells[index].label,
+            index=index,
+            key=self.keys[index],
+        )
+
+    def record(self, index: int, source: str, payload, attempts: int) -> None:
+        """Store cell ``index``'s final payload as its outcome and log it."""
+        cell, key = self.cells[index], self.keys[index]
+        if isinstance(payload, CellError):
+            outcome = CellOutcome(
+                cell=cell,
+                value=None,
+                references=0,
+                wall_seconds=0.0,
+                cached=False,
+                key=key,
+                error=payload,
+                attempts=max(1, attempts),
+            )
+        else:
+            ran = source == "run"
+            outcome = CellOutcome(
+                cell=cell,
+                value=payload.value,
+                references=payload.references,
+                wall_seconds=payload.wall_seconds if ran else 0.0,
+                cached=not ran,
+                key=key,
+                attempts=max(1, attempts),
+                sampling=payload.sampling,
+            )
+        self.outcomes[index] = outcome
+        if self._log is not None:
+            event, fields = self._cell_event(
+                cell.label, index, key, source, payload, attempts
+            )
+            self.emit(event, **fields)
+        self._advance()
+
     def _advance(self) -> None:
         while (
-            self._next_emit < len(self._outcomes)
-            and self._outcomes[self._next_emit] is not None
+            self._next_emit < len(self.outcomes)
+            and self.outcomes[self._next_emit] is not None
         ):
-            outcome = self._outcomes[self._next_emit]
+            outcome = self.outcomes[self._next_emit]
             self._next_emit += 1
             if self._progress is not None:
                 try:
@@ -574,110 +560,15 @@ class _Recorder:
                     # must not vanish either: log the first failure once.
                     if self._log is not None and not self._callback_error_reported:
                         self._callback_error_reported = True
-                        self._log.emit(
+                        self.emit(
                             "callback_error",
                             label=outcome.label,
                             error=type(exc).__name__,
                             message=str(exc),
                         )
 
-    def cached(self, flight: _Flight, hit: CellResult) -> None:
-        sampling = getattr(hit, "sampling", None)
-        self._outcomes[flight.index] = CellOutcome(
-            cell=flight.cell,
-            value=hit.value,
-            references=hit.references,
-            wall_seconds=0.0,
-            cached=True,
-            key=flight.key,
-            sampling=sampling,
-        )
-        if self._log is not None:
-            self._log.emit(
-                "cell_finished",
-                label=flight.cell.label,
-                index=flight.index,
-                key=flight.key,
-                cached=True,
-                wall_seconds=0.0,
-                references=hit.references,
-                refs_per_second=0.0,
-                attempts=0,
-                **_sampling_event_fields(sampling),
-            )
-        self._advance()
 
-    def success(self, flight: _Flight, result: CellResult) -> None:
-        sampling = getattr(result, "sampling", None)
-        self._outcomes[flight.index] = CellOutcome(
-            cell=flight.cell,
-            value=result.value,
-            references=result.references,
-            wall_seconds=result.wall_seconds,
-            cached=False,
-            key=flight.key,
-            attempts=max(1, flight.attempts),
-            sampling=sampling,
-        )
-        if self._store is not None:
-            self._store.put(flight.key, result)
-        if self._log is not None:
-            self._log.emit(
-                "cell_finished",
-                label=flight.cell.label,
-                index=flight.index,
-                key=flight.key,
-                cached=False,
-                wall_seconds=result.wall_seconds,
-                references=result.references,
-                refs_per_second=(
-                    result.references / result.wall_seconds
-                    if result.wall_seconds > 0
-                    else 0.0
-                ),
-                attempts=max(1, flight.attempts),
-                **_sampling_event_fields(sampling),
-            )
-        self._advance()
-
-    def failure(self, flight: _Flight, error: CellError) -> None:
-        self._outcomes[flight.index] = CellOutcome(
-            cell=flight.cell,
-            value=None,
-            references=0,
-            wall_seconds=0.0,
-            cached=False,
-            key=flight.key,
-            error=error,
-            attempts=max(1, flight.attempts),
-        )
-        if self._log is not None:
-            self._log.emit(
-                "cell_failed",
-                label=flight.cell.label,
-                index=flight.index,
-                key=flight.key,
-                error=error.type,
-                message=error.message,
-                attempts=max(1, flight.attempts),
-            )
-        self._advance()
-
-    def retried(self, flight: _Flight, exc: BaseException, backoff: float) -> None:
-        if self._log is not None:
-            self._log.emit(
-                "cell_retried",
-                label=flight.cell.label,
-                index=flight.index,
-                key=flight.key,
-                error=type(exc).__name__,
-                message=str(exc),
-                attempt=flight.attempts,
-                backoff_seconds=backoff,
-            )
-
-
-def _prime_trace_store(pending: list[_Flight], log: EventLog | None) -> None:
+def _prime_trace_store(pending: list[CampaignCell], log: EventLog | None) -> None:
     """Generate each distinct catalog trace once, before the fan-out.
 
     With ``REPRO_TRACE_STORE`` set, N cells over one workload must cost one
@@ -700,8 +591,8 @@ def _prime_trace_store(pending: list[_Flight], log: EventLog | None) -> None:
     from .workloads.generator import trace_identity
 
     needed: dict[tuple[str, int | None], None] = {}
-    for flight in pending:
-        spec = flight.cell.trace
+    for cell in pending:
+        spec = cell.trace
         if spec.kind == "catalog":
             needed.setdefault((spec.name, spec.length), None)
         elif spec.kind == "mix":
@@ -735,150 +626,117 @@ def _prime_trace_store(pending: list[_Flight], log: EventLog | None) -> None:
             )
 
 
-def _backoff_seconds(backoff: float, attempts: int) -> float:
-    """Capped exponential backoff before retry number ``attempts``."""
-    if backoff <= 0:
-        return 0.0
-    return min(BACKOFF_CAP, backoff * (2 ** (attempts - 1)))
+class _SerialBackend:
+    """The ``workers == 1`` backend: one cell at a time on the loop's thread.
 
-
-def _run_serial(
-    flights: list[_Flight],
-    runner: Callable[[CampaignCell], CellResult],
-    recorder: _Recorder,
-    retries: int,
-    backoff: float,
-) -> None:
-    """In-process execution with retry-on-transient-failure semantics."""
-    for flight in flights:
-        while True:
-            flight.attempts += 1
-            try:
-                result = runner(flight.cell)
-            except Exception as exc:
-                if _is_transient(exc) and flight.attempts <= retries:
-                    pause = _backoff_seconds(backoff, flight.attempts)
-                    recorder.retried(flight, exc, pause)
-                    if pause:
-                        time.sleep(pause)
-                    continue
-                recorder.failure(flight, CellError.from_exception(exc))
-                break
-            else:
-                recorder.success(flight, result)
-                break
-
-
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Forcibly stop a pool whose workers may be hung."""
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.terminate()
-        except Exception:
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _run_pool(
-    pool: ProcessPoolExecutor,
-    flights: list[_Flight],
-    runner: Callable[[CampaignCell], CellResult],
-    recorder: _Recorder,
-    retries: int,
-    backoff: float,
-    timeout: float | None,
-    log: EventLog | None,
-) -> list[_Flight]:
-    """Collect pool futures as they complete.
-
-    Returns the flights that still need execution (serial fallback) after
-    a broken pool or a timeout kill; empty on a clean run.
+    Nothing else needs the loop while a local cell runs, and running it
+    on the calling thread keeps Ctrl-C and debuggers acting on the cell
+    itself, as a plain loop over the cells would.
     """
-    in_flight: dict = {}
-    for flight in flights:
-        flight.attempts += 1
-        in_flight[pool.submit(runner, flight.cell)] = flight
 
-    broken = False
-    while in_flight:
-        tick = _WATCHDOG_TICK if timeout is not None else None
-        done, not_done = wait(
-            set(in_flight), timeout=tick, return_when=FIRST_COMPLETED
-        )
-        for future in done:
-            flight = in_flight.pop(future)
+    capacity = 1
+    preemptible = False
+
+    def __init__(self, runner: Callable[[CampaignCell], CellResult]) -> None:
+        self._runner = runner
+
+    async def start(self) -> None:
+        return None
+
+    async def run(self, cell: CampaignCell) -> CellResult:
+        return self._runner(cell)
+
+    async def close(self) -> None:
+        return None
+
+
+def _run_until_complete(main: Callable[[], Awaitable[None]]) -> None:
+    """Run ``main()`` to completion on a private event loop.
+
+    Not ``asyncio.run``: its SIGINT handler turns a first Ctrl-C into a
+    task cancellation, which waits until the running serial cell returns.
+    Here ``KeyboardInterrupt`` is raised inside the cell, and the tasks it
+    leaves are cancelled so every scheduler still closes its backend.
+    A caller whose thread already runs a loop gets the private loop on a
+    short-lived helper thread, so the call stays synchronous.
+    """
+    import asyncio
+
+    try:
+        asyncio.get_running_loop()
+    except RuntimeError:
+        pass
+    else:
+        import threading
+
+        failure: list[BaseException] = []
+
+        def host() -> None:
             try:
-                result = future.result()
-            except BrokenProcessPool as exc:
-                # The pool died under this cell: everything unfinished
-                # (this cell included) falls back to serial execution.
-                if log is not None and not broken:
-                    log.emit(
-                        "pool_broken",
-                        message=str(exc) or type(exc).__name__,
-                        pending=len(in_flight) + 1,
-                    )
-                broken = True
-                fallback = [flight] + list(in_flight.values())
-                in_flight.clear()
-                return sorted(fallback, key=lambda f: f.index)
-            except Exception as exc:
-                if _is_transient(exc) and flight.attempts <= retries:
-                    pause = _backoff_seconds(backoff, flight.attempts)
-                    recorder.retried(flight, exc, pause)
-                    if pause:
-                        time.sleep(pause)
-                    flight.attempts += 1
-                    try:
-                        in_flight[pool.submit(runner, flight.cell)] = flight
-                    except Exception:
-                        # submit() on a dying pool: run it serially instead.
-                        flight.attempts -= 1
-                        return sorted(
-                            [flight] + list(in_flight.values()),
-                            key=lambda f: f.index,
-                        )
-                else:
-                    recorder.failure(flight, CellError.from_exception(exc))
-            else:
-                recorder.success(flight, result)
+                _run_until_complete(main)
+            except BaseException as exc:
+                failure.append(exc)
 
-        if timeout is not None and in_flight:
-            now = time.perf_counter()
-            hung = []
-            for future, flight in in_flight.items():
-                if future.running():
-                    if flight.running_since is None:
-                        flight.running_since = now
-                    elif now - flight.running_since > timeout:
-                        hung.append(future)
-            if hung:
-                for future in hung:
-                    flight = in_flight.pop(future)
-                    recorder.failure(
-                        flight,
-                        CellError(
-                            type="TimeoutError",
-                            message=(
-                                f"cell exceeded the {timeout:g}s per-cell "
-                                f"timeout ({CELL_TIMEOUT_ENV})"
-                            ),
-                            traceback="",
-                        ),
-                    )
-                if log is not None:
-                    log.emit(
-                        "pool_terminated",
-                        reason="cell_timeout",
-                        timed_out=len(hung),
-                        pending=len(in_flight),
-                    )
-                # The hung workers cannot be recovered individually;
-                # terminate the pool and finish the rest serially.
-                _terminate_pool(pool)
-                return sorted(in_flight.values(), key=lambda f: f.index)
-    return []
+        thread = threading.Thread(target=host, name="repro-campaign")
+        thread.start()
+        thread.join()
+        if failure:
+            raise failure[0]
+        return
+
+    loop = asyncio.new_event_loop()
+    try:
+        loop.run_until_complete(main())
+    finally:
+        try:
+            leftover = asyncio.all_tasks(loop)
+            for task in leftover:
+                task.cancel()
+            if leftover:
+                loop.run_until_complete(
+                    asyncio.gather(*leftover, return_exceptions=True)
+                )
+        finally:
+            loop.close()
+
+
+async def _execute_pending(
+    scheduler, pending: list[int], recorder: _Recorder, fallback=None
+) -> None:
+    """Resolve the ``pending`` cells through ``scheduler``'s cell path.
+
+    With a ``fallback`` scheduler, a cell whose final error is a
+    ``BackendCrash`` — every attempt lost its pool worker — is not
+    recorded yet: it gets one more run there, after ``scheduler`` has
+    shut down (the broken-pool fallback, logged as ``serial_fallback``).
+    """
+    import asyncio
+
+    crashed: dict[int, int] = {}
+
+    async def resolve(owner, index: int, prior: int) -> None:
+        source, payload, attempts = await owner.obtain(
+            recorder.cells[index], recorder.keys[index], recorder.emitter(index)
+        )
+        lost = isinstance(payload, CellError) and payload.type == "BackendCrash"
+        if lost and fallback is not None and owner is scheduler:
+            crashed[index] = attempts
+        else:
+            recorder.record(index, source, payload, prior + attempts)
+
+    async def drain(owner, runs: dict[int, int]) -> None:
+        await owner.start()
+        try:
+            await asyncio.gather(
+                *(resolve(owner, index, prior) for index, prior in runs.items())
+            )
+        finally:
+            await owner.close()
+
+    await drain(scheduler, dict.fromkeys(pending, 0))
+    if crashed:
+        recorder.emit("serial_fallback", cells=len(crashed))
+        await drain(fallback, dict(sorted(crashed.items())))
 
 
 def run_campaign(
@@ -945,78 +803,82 @@ def run_campaign(
         CampaignError: with ``raise_on_error=True``, after all cells have
             been collected, if at least one failed.
     """
+    # Imported here: the service modules import this one, and loading
+    # asyncio and the service must not slow down ``import repro``.
+    from .service.backends import PoolBackend
+    from .service.scheduler import Scheduler, cell_event
+
     cells = list(cells)
     if sampling is not None:
         cells = _wrap_sampled(cells, sampling)
     count = worker_count(workers)
     store = _resolve_cache(cache)
-    retries = _env_int(RETRIES_ENV, DEFAULT_RETRIES) if retries is None else retries
-    backoff = _env_float(BACKOFF_ENV, DEFAULT_BACKOFF) if backoff is None else backoff
-    timeout = _env_float(CELL_TIMEOUT_ENV, None) if timeout is None else timeout
-    log, owns_log = _resolve_events(events)
-    started = time.perf_counter()
 
-    outcomes: list[CellOutcome | None] = [None] * len(cells)
-    recorder = _Recorder(outcomes, store, log, progress)
-    pending: list[_Flight] = []
-    cached_hits: list[tuple[_Flight, CellResult]] = []
-    for index, cell in enumerate(cells):
-        key = cell_key(cell)
-        hit = store.get(key) if store is not None else _MISS
-        flight = _Flight(index=index, cell=cell, key=key)
-        if hit is not _MISS and isinstance(hit, CellResult):
-            cached_hits.append((flight, hit))
-        else:
-            pending.append(flight)
+    def local_scheduler(backend) -> Scheduler:
+        scheduler = Scheduler(backend, cache=store if store is not None else False)
+        # One process runs the whole campaign: no cross-process claims,
+        # so a killed run leaves nothing behind to stall the next one.
+        scheduler.claims = None
+        if retries is not None:
+            scheduler.retries = retries
+        if backoff is not None:
+            scheduler.backoff = backoff
+        if timeout is not None:
+            scheduler.timeout = timeout
+        return scheduler
+
+    started = time.perf_counter()
+    keys = [cell_key(cell) for cell in cells]
+    hits = [store.get(key) if store is not None else _MISS for key in keys]
+    pending = [i for i, hit in enumerate(hits) if not isinstance(hit, CellResult)]
+    fallback = None
+    if count == 1 or len(pending) <= 1:
+        scheduler = local_scheduler(_SerialBackend(runner))
+    else:
+        scheduler = local_scheduler(PoolBackend(min(count, len(pending)), runner))
+        fallback = local_scheduler(_SerialBackend(runner))
+        fallback.retries = 0
+    log, owns_log = _resolve_events(events)
+    recorder = _Recorder(cells, keys, log, progress, cell_event)
 
     try:
-        if log is not None:
-            log.emit(
-                "campaign_started",
-                cells=len(cells),
-                cached=len(cached_hits),
-                pending=len(pending),
-                workers=count,
-                retries=retries,
-                timeout=timeout,
-            )
-        for flight, hit in cached_hits:
-            recorder.cached(flight, hit)
+        recorder.emit(
+            "campaign_started",
+            cells=len(cells),
+            cached=len(cells) - len(pending),
+            pending=len(pending),
+            workers=count,
+            retries=scheduler.retries,
+            timeout=scheduler.timeout,
+        )
+        for index, hit in enumerate(hits):
+            if isinstance(hit, CellResult):
+                recorder.record(index, "cache", hit, 0)
 
         if pending:
-            _prime_trace_store(pending, log)
-            if count == 1 or len(pending) == 1:
-                _run_serial(pending, runner, recorder, retries, backoff)
-            else:
-                with ProcessPoolExecutor(
-                    max_workers=min(count, len(pending))
-                ) as pool:
-                    leftover = _run_pool(
-                        pool, pending, runner, recorder,
-                        retries, backoff, timeout, log,
-                    )
-                if leftover:
-                    if log is not None:
-                        log.emit("serial_fallback", cells=len(leftover))
-                    _run_serial(leftover, runner, recorder, retries, backoff)
+            _prime_trace_store([cells[i] for i in pending], log)
+            _run_until_complete(
+                functools.partial(
+                    _execute_pending, scheduler, pending, recorder, fallback
+                )
+            )
 
         result = CampaignResult(
-            outcomes=tuple(o for o in outcomes if o is not None),
+            outcomes=tuple(recorder.outcomes),
             wall_seconds=time.perf_counter() - started,
             workers=count,
         )
-        if log is not None:
-            log.emit(
-                "campaign_finished",
-                cells=result.cells,
-                cached=result.cached_cells,
-                simulated=result.simulated_cells,
-                failed=result.failed_cells,
-                retried=result.retried_cells,
-                wall_seconds=result.wall_seconds,
-                references=result.simulated_references,
-                refs_per_second=result.references_per_second,
-            )
+        recorder.emit(
+            "campaign_finished",
+            cells=result.cells,
+            cached=result.cached_cells,
+            simulated=result.simulated_cells,
+            failed=result.failed_cells,
+            retried=result.retried_cells,
+            wall_seconds=result.wall_seconds,
+            references=result.simulated_references,
+            refs_per_second=result.references_per_second,
+        )
     finally:
         if owns_log and log is not None:
             log.close()

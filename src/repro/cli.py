@@ -193,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="transient-failure retries per cell "
                    "(default: REPRO_RETRIES or 2)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="per-cell wall-time limit, pool mode only "
+                   help="per-cell wall-time limit, pool and fleet only "
                    "(default: REPRO_CELL_TIMEOUT or none)")
     p.add_argument("--sampling", type=_sampling_arg, default=None,
                    metavar="FRACTION|representative",

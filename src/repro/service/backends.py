@@ -11,11 +11,10 @@ Three stdlib-only backends ship:
   process.  Zero startup cost; the right choice for tests, debugging,
   and tiny traces (the simulation kernels release little of the GIL, so
   its parallelism is nominal).
-* :class:`PoolBackend` — a ``ProcessPoolExecutor``, i.e. exactly the
-  machinery :func:`repro.campaign.run_campaign` uses for local
-  campaigns, adapted to one-cell-at-a-time dispatch.  A worker crash
-  breaks the whole executor, so the backend replaces the pool and fails
-  only the cells that were in flight.
+* :class:`PoolBackend` — a ``ProcessPoolExecutor`` fed one cell at a
+  time; :func:`repro.campaign.run_campaign` runs local campaigns on it.
+  A worker crash breaks the whole executor, so the backend replaces the
+  pool and fails only the cells that were in flight.
 * :class:`SubprocessFleetBackend` — N long-lived worker processes
   (``python -m repro.service.worker``) pulling cells over stdin/stdout
   pipes (length-prefixed pickle frames).  Workers are independent: one
@@ -26,7 +25,11 @@ All backends expose ``capacity`` (concurrent cells the scheduler should
 keep in flight), are started with ``await backend.start()`` and torn
 down with ``await backend.close()``.  A cell whose *execution vehicle*
 died (not the cell's own exception) raises :class:`BackendCrash`; the
-scheduler records it as a failed outcome rather than hanging.
+scheduler retries it and, once retries run out, records a failed outcome
+rather than hanging.  ``preemptible`` says whether cancelling a running
+cell frees its worker: the pool and the fleet kill the worker, so the
+scheduler's per-cell timeout applies to them; a thread cannot be
+stopped, so it does not apply to :class:`InlineBackend`.
 """
 
 from __future__ import annotations
@@ -73,6 +76,7 @@ class InlineBackend:
     """Run cells on threads inside the service process (test/debug tier)."""
 
     name = "inline"
+    preemptible = False
 
     def __init__(self, capacity: int = 1, runner=run_cell) -> None:
         self.capacity = max(1, capacity)
@@ -116,12 +120,19 @@ def _drop_inherited_sockets() -> None:
 
 
 class PoolBackend:
-    """A ``ProcessPoolExecutor`` — ``run_campaign``'s pool, served async.
+    """A ``ProcessPoolExecutor`` that runs one cell per ``run`` call.
 
     ``workers=None`` resolves exactly like the campaign runner
     (``REPRO_WORKERS``, then CPU count).  ``BrokenProcessPool`` takes
     down every in-flight future at once; each affected cell surfaces as
     :class:`BackendCrash` and the pool is rebuilt for subsequent cells.
+    Cancelling a cell that a worker is already running (the scheduler
+    does so on its per-cell timeout) terminates the pool's workers, since
+    one hung worker cannot be stopped alone, and rebuilds the pool the
+    same way; the cells caught beside it see :class:`BackendCrash` and
+    are retried.  A cancelled *campaign* does not cancel its running
+    cells: the scheduler lets their workers finish and drops the results,
+    so other campaigns' cells in the shared pool are untouched.
 
     The pool starts workers lazily, while the service holds client
     sockets open; every worker (of the first pool and of each rebuilt
@@ -130,6 +141,7 @@ class PoolBackend:
     """
 
     name = "pool"
+    preemptible = True
 
     def __init__(self, workers: int | None = None, runner=run_cell) -> None:
         self.capacity = worker_count(workers)
@@ -152,21 +164,40 @@ class PoolBackend:
         pool = self._pool
         generation = self._generation
         try:
-            return await asyncio.wrap_future(pool.submit(self._runner, cell))
+            future = pool.submit(self._runner, cell)
+            return await asyncio.wrap_future(future)
         except BrokenProcessPool as exc:
-            # First awaiter to notice swaps in a fresh pool; the rest see
-            # the generation already advanced and just re-raise.
-            if self._generation == generation:
-                self._generation += 1
-                self._pool = self._new_pool()
-                try:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                except Exception:
-                    pass
+            self._replace(pool, generation)
             raise BackendCrash(
                 f"process pool broke under cell {cell.label!r}: "
                 f"{exc or type(exc).__name__}"
             ) from exc
+        except asyncio.CancelledError:
+            if future.running():
+                self._replace(pool, generation, terminate=True)
+            raise
+
+    def _replace(self, pool, generation: int, *, terminate: bool = False) -> None:
+        """Swap in a fresh pool, once per generation; optionally kill ``pool``.
+
+        The first cell to notice a broken pool swaps; the rest see the
+        generation already advanced and leave it be.  Terminating the old
+        pool's workers breaks it, which fails every cell still in it.
+        """
+        if self._generation != generation:
+            return
+        self._generation += 1
+        self._pool = self._new_pool()
+        if terminate:
+            for process in list((getattr(pool, "_processes", None) or {}).values()):
+                try:
+                    process.terminate()
+                except Exception:
+                    pass
+        try:
+            pool.shutdown(wait=False)
+        except Exception:
+            pass
 
     async def close(self) -> None:
         if self._pool is not None:
@@ -195,7 +226,12 @@ class _FleetWorker:
     def alive(self) -> bool:
         return self.process.returncode is None
 
-    async def stop(self) -> None:
+    async def stop(self, *, kill: bool = False) -> None:
+        if kill:  # busy with a cell: it would not see EOF until done
+            try:
+                self.process.kill()
+            except ProcessLookupError:
+                pass
         try:
             if self.process.stdin is not None:
                 self.process.stdin.close()
@@ -219,10 +255,12 @@ class SubprocessFleetBackend:
     free.  A worker that dies mid-cell (EOF on its pipe) fails only that
     cell (:class:`BackendCrash`) and is replaced immediately, so the
     fleet's capacity self-heals — unlike a broken process pool, the
-    blast radius is one cell.
+    blast radius is one cell.  A cell cancelled mid-run (the scheduler's
+    per-cell timeout) kills its worker, which is replaced the same way.
     """
 
     name = "fleet"
+    preemptible = True
 
     def __init__(
         self,
@@ -236,7 +274,7 @@ class SubprocessFleetBackend:
         self._idle: asyncio.Queue[_FleetWorker] = asyncio.Queue()
         self._workers: list[_FleetWorker] = []
         self._closed = False
-        #: Workers replaced after a crash (observability/test hook).
+        #: Workers replaced after a crash or a cancelled cell (test hook).
         self.respawns = 0
 
     async def _spawn(self) -> _FleetWorker:
@@ -267,6 +305,11 @@ class SubprocessFleetBackend:
             if not worker.alive:
                 raise asyncio.IncompleteReadError(b"", None)
             status, payload = await worker.request(cell)
+        except asyncio.CancelledError:
+            # The worker may still be busy with this cell; handing it on
+            # would stall the next one, so kill it and respawn.
+            await self._replace(worker, kill=True)
+            raise
         except (
             asyncio.IncompleteReadError,
             BrokenPipeError,
@@ -276,20 +319,24 @@ class SubprocessFleetBackend:
         ) as exc:
             # The worker died (or garbled its pipe) under this cell:
             # retire it, spawn a replacement, fail just this cell.
-            self._workers.remove(worker)
-            await worker.stop()
-            if not self._closed:
-                self.respawns += 1
-                self._idle.put_nowait(await self._spawn())
+            await self._replace(worker)
             raise BackendCrash(
                 f"fleet worker died under cell {cell.label!r} "
                 f"(exit code {worker.process.returncode})"
             ) from exc
-        else:
-            self._idle.put_nowait(worker)
+        self._idle.put_nowait(worker)
         if status == "ok":
             return payload
         raise CellExecutionError(payload)
+
+    async def _replace(self, worker: _FleetWorker, *, kill: bool = False) -> None:
+        """Retire ``worker`` and, unless the fleet is closing, spawn its successor."""
+        if worker in self._workers:
+            self._workers.remove(worker)
+        await worker.stop(kill=kill)
+        if not self._closed:
+            self.respawns += 1
+            self._idle.put_nowait(await self._spawn())
 
     async def close(self) -> None:
         self._closed = True

@@ -24,11 +24,18 @@ same content hashes the library tier already uses
 Campaigns are admitted through the
 :class:`~repro.service.queue.FairShareQueue` (priorities, per-user
 quotas, fair-share start order) and executed with at most
-``backend.capacity`` cells in flight.  Every campaign gets its own
+``backend.capacity`` cells in flight.  Execution retries transient
+failures (``OSError``, :class:`~repro.service.backends.BackendCrash`)
+with capped exponential backoff and, on backends that can preempt a
+cell, enforces a per-cell timeout — the ``REPRO_RETRIES``,
+``REPRO_RETRY_BACKOFF`` and ``REPRO_CELL_TIMEOUT`` settings of the
+campaign runner, which drives local campaigns through this same cell
+path (:meth:`Scheduler.obtain`).  Every campaign gets its own
 replayable JSONL-schema event stream — the exact
 :mod:`repro.campaign` event vocabulary (``campaign_started``,
 ``cell_finished``, ``cell_failed``, ``campaign_finished``) plus
-``campaign_queued`` and a ``source`` field on ``cell_finished`` saying
+``campaign_queued`` and a ``source`` field on ``cell_finished`` and
+``cell_failed`` saying
 *how* the cell was satisfied: ``"run"`` (this campaign executed it),
 ``"cache"`` (served from the result cache), or ``"shared"`` (joined
 another campaign's in-flight execution).  Counting ``cell_finished``
@@ -40,6 +47,7 @@ simulations* — the number the dedupe tests pin.
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import os
 import time
@@ -47,7 +55,17 @@ import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..campaign import EventLog, ResultCache, _MISS
+from ..campaign import (
+    BACKOFF_ENV,
+    CELL_TIMEOUT_ENV,
+    DEFAULT_BACKOFF,
+    DEFAULT_RETRIES,
+    RETRIES_ENV,
+    EventLog,
+    ResultCache,
+    _MISS,
+    _resolve_cache,
+)
 from ..core.jobs import CampaignCell, CellError, CellResult, cell_key
 from .backends import BackendCrash, CellExecutionError
 from .queue import FairShareQueue, QueueEntry, QuotaExceeded
@@ -61,6 +79,7 @@ __all__ = [
     "CampaignState",
     "Scheduler",
     "QuotaExceeded",
+    "cell_event",
 ]
 
 #: Per-user quota of outstanding campaigns (unset = unlimited).
@@ -76,20 +95,70 @@ DEFAULT_ACTIVE = 4
 DEFAULT_CLAIM_TIMEOUT = 300.0
 DEFAULT_POLL = 0.05
 
+#: Exception types treated as transient (worth retrying).  ``OSError``
+#: covers the resource-exhaustion family (EMFILE, ENOMEM, flaky NFS);
+#: :class:`BackendCrash` is the worker or pool dying under a cell.
+TRANSIENT_EXCEPTIONS = (OSError, BackendCrash)
+#: Ceiling on a single backoff sleep, seconds.
+BACKOFF_CAP = 5.0
+
 #: Campaign lifecycle statuses.
 QUEUED, RUNNING, DONE, FAILED = "queued", "running", "done", "failed"
 CANCELLED = "cancelled"
 _TERMINAL = frozenset({DONE, FAILED, CANCELLED})
 
 
-def _env_number(name: str, default: float) -> float:
+def _env_number(name: str, default, kind=float):
     value = os.environ.get(name)
     if not value:
         return default
     try:
-        return float(value)
+        return kind(value)
     except ValueError:
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name} must be {noun}, got {value!r}") from None
+
+
+def _backoff_seconds(backoff: float, attempts: int) -> float:
+    """Capped exponential backoff before retry number ``attempts``."""
+    if backoff <= 0:
+        return 0.0
+    return min(BACKOFF_CAP, backoff * (2 ** (attempts - 1)))
+
+
+def _drop_result(run: asyncio.Future) -> None:
+    """Retrieve an abandoned run's outcome, so asyncio does not log it."""
+    if not run.cancelled():
+        run.exception()
+
+
+def cell_event(
+    label: str, index: int, key: str, source: str, payload, attempts: int
+) -> tuple[str, dict]:
+    """The ``cell_finished`` or ``cell_failed`` event of one resolved cell.
+
+    Both the service and :func:`repro.campaign.run_campaign` log cells
+    with it, so their event fields agree; the service adds ``source``.
+    ``attempts`` is 0 for a cell nobody executed for this campaign.
+    """
+    fields = {"label": label, "index": index, "key": key}
+    if isinstance(payload, CellError):
+        return "cell_failed", {
+            **fields,
+            "error": payload.type,
+            "message": payload.message,
+            "attempts": max(1, attempts),
+        }
+    wall = payload.wall_seconds if source == "run" else 0.0
+    return "cell_finished", {
+        **fields,
+        "cached": source != "run",
+        "wall_seconds": wall,
+        "references": payload.references,
+        "refs_per_second": payload.references / wall if wall > 0 else 0.0,
+        "attempts": attempts,
+        **summarize_sampling(payload.sampling),
+    }
 
 
 class _CellClaims:
@@ -199,8 +268,8 @@ class Scheduler:
             :mod:`repro.service.backends`.
         cache: shared result-cache directory (or a
             :class:`~repro.campaign.ResultCache`); ``None`` falls back to
-            ``REPRO_CACHE_DIR``, unset disables caching *and*
-            cross-process claims.
+            ``REPRO_CACHE_DIR``, and ``False`` or an unset variable
+            disables caching *and* cross-process claims.
         quota: per-user outstanding-campaign quota
             (default ``REPRO_SERVICE_QUOTA``; unset = unlimited).
         max_active: campaigns run concurrently
@@ -210,13 +279,19 @@ class Scheduler:
             with a ``campaign`` field attached.
         claim_timeout / poll: cross-process claim staleness and cache
             poll interval, seconds.
+
+    The per-cell failure policy lives in three attributes, read from the
+    campaign runner's environment variables: ``retries``
+    (``REPRO_RETRIES``, default 2), ``backoff`` (``REPRO_RETRY_BACKOFF``,
+    default 0.1 s) and ``timeout`` (``REPRO_CELL_TIMEOUT``, unset = no
+    limit; applied only on a ``preemptible`` backend).
     """
 
     def __init__(
         self,
         backend,
         *,
-        cache: ResultCache | str | Path | None = None,
+        cache: ResultCache | str | Path | bool | None = None,
         quota: int | None = None,
         max_active: int | None = None,
         events: EventLog | str | Path | None = None,
@@ -224,14 +299,9 @@ class Scheduler:
         poll: float | None = None,
     ) -> None:
         self.backend = backend
-        if cache is None:
-            cache = os.environ.get("REPRO_CACHE_DIR") or None
-        if cache is not None and not isinstance(cache, ResultCache):
-            cache = ResultCache(cache)
-        self.cache = cache
+        self.cache = _resolve_cache(cache)
         if quota is None:
-            env = os.environ.get(QUOTA_ENV)
-            quota = int(env) if env else None
+            quota = _env_number(QUOTA_ENV, None, int)
         self.queue = FairShareQueue(quota=quota)
         self.max_active = int(
             max_active
@@ -251,6 +321,9 @@ class Scheduler:
             if self.cache is not None
             else None
         )
+        self.retries = _env_number(RETRIES_ENV, DEFAULT_RETRIES, int)
+        self.backoff = _env_number(BACKOFF_ENV, DEFAULT_BACKOFF)
+        self.timeout = _env_number(CELL_TIMEOUT_ENV, None)
         if events is not None and not isinstance(events, EventLog):
             events = EventLog(events)
         self.log = events
@@ -500,107 +573,84 @@ class Scheduler:
         self, state: CampaignState, index: int, cell: CampaignCell
     ) -> None:
         key = cell_key(cell)
-        source, payload = await self._obtain(cell, key)
-        if isinstance(payload, CellError):
-            state.outcomes[index] = {
-                "label": cell.label,
-                "index": index,
-                "key": key,
-                "ok": False,
-                "source": source,
-                "error": payload.type,
-                "message": payload.message,
-            }
-            self._emit(
-                state,
-                "cell_failed",
-                label=cell.label,
-                index=index,
-                key=key,
-                error=payload.type,
-                message=payload.message,
-                attempts=1,
-            )
-            return
-        result: CellResult = payload
-        state.outcomes[index] = {
+        emit = functools.partial(
+            self._emit, state, label=cell.label, index=index, key=key
+        )
+        source, payload, attempts = await self.obtain(cell, key, emit)
+        event, fields = cell_event(cell.label, index, key, source, payload, attempts)
+        outcome = {
             "label": cell.label,
             "index": index,
             "key": key,
-            "ok": True,
+            "ok": event == "cell_finished",
             "source": source,
-            "cached": source != "run",
-            "references": result.references,
-            "wall_seconds": result.wall_seconds if source == "run" else 0.0,
-            "value": summarize_value(result.value),
-            **summarize_sampling(result.sampling),
         }
-        self._emit(
-            state,
-            "cell_finished",
-            label=cell.label,
-            index=index,
-            key=key,
-            cached=source != "run",
-            source=source,
-            wall_seconds=result.wall_seconds if source == "run" else 0.0,
-            references=result.references,
-            **summarize_sampling(result.sampling),
-            refs_per_second=(
-                result.references / result.wall_seconds
-                if source == "run" and result.wall_seconds > 0
-                else 0.0
-            ),
-            attempts=1 if source == "run" else 0,
-        )
+        if isinstance(payload, CellError):
+            outcome.update(error=payload.type, message=payload.message)
+        else:
+            outcome.update(
+                cached=fields["cached"],
+                references=payload.references,
+                wall_seconds=fields["wall_seconds"],
+                value=summarize_value(payload.value),
+                **summarize_sampling(payload.sampling),
+            )
+        state.outcomes[index] = outcome
+        self._emit(state, event, source=source, **fields)
 
-    async def _obtain(self, cell: CampaignCell, key: str):
-        """Resolve one cell key to ``(source, CellResult | CellError)``.
+    async def obtain(self, cell: CampaignCell, key: str, emit):
+        """Resolve one cell: ``(source, CellResult | CellError, attempts)``.
 
         Order of escalation: result cache → in-flight future → foreign
-        claim (poll the cache) → execute on the backend.
+        claim (poll the cache) → execute on the backend.  ``attempts``
+        counts the backend runs made for this call (0 when the cache or
+        another caller's run satisfied it).  ``emit(event, **fields)``
+        receives the cell's ``cell_retried`` and ``pool_terminated``
+        events.  Must run between :meth:`start` and :meth:`close`.
         """
         while True:
             if self.cache is not None:
                 hit = self.cache.get(key)
                 if hit is not _MISS and isinstance(hit, CellResult):
-                    return "cache", hit
+                    return "cache", hit, 0
             future = self._inflight.get(key)
             if future is not None:
-                payload = await asyncio.shield(future)
-                return "shared", payload
+                return "shared", await asyncio.shield(future), 0
             if self.claims is not None and not self.claims.try_claim(key):
                 # Another process owns this key: poll until its result
                 # lands in the shared cache (or the claim goes stale).
                 await asyncio.sleep(self.poll)
                 continue
             try:
-                return "run", await self._execute(cell, key)
+                payload, attempts = await self._execute(cell, key, emit)
+                return "run", payload, attempts
             finally:
                 if self.claims is not None:
                     self.claims.release(key)
 
-    async def _execute(self, cell: CampaignCell, key: str):
-        future = asyncio.get_event_loop().create_future()
+    async def _execute(self, cell: CampaignCell, key: str, emit):
+        """Run one cell with retries; publish the payload to sharers."""
+        future = asyncio.get_running_loop().create_future()
         self._inflight[key] = future
         try:
-            async with self._slots:
-                try:
-                    result = await self.backend.run(cell)
-                except CellExecutionError as exc:
-                    payload = exc.error
-                except BackendCrash as exc:
-                    payload = CellError(
-                        type="BackendCrash", message=str(exc), traceback=""
-                    )
-                except asyncio.CancelledError:
-                    raise
-                except Exception as exc:
-                    payload = CellError.from_exception(exc)
-                else:
-                    payload = result
-                    if self.cache is not None:
-                        self.cache.put(key, result)
+            attempts = 0
+            while True:
+                attempts += 1
+                async with self._slots:
+                    payload, transient = await self._attempt(cell, emit)
+                if not transient or attempts > self.retries:
+                    break
+                pause = _backoff_seconds(self.backoff, attempts)
+                emit(
+                    "cell_retried",
+                    error=payload.type,
+                    message=payload.message,
+                    attempt=attempts,
+                    backoff_seconds=pause,
+                )
+                await asyncio.sleep(pause)
+            if self.cache is not None and isinstance(payload, CellResult):
+                self.cache.put(key, payload)
         except BaseException as exc:
             if not future.done():
                 future.set_exception(exc)
@@ -610,4 +660,41 @@ class Scheduler:
         finally:
             self._inflight.pop(key, None)
         future.set_result(payload)
-        return payload
+        return payload, attempts
+
+    async def _attempt(self, cell: CampaignCell, emit):
+        """One backend run of ``cell`` as ``(payload, transient)``."""
+        limit = self.timeout if getattr(self.backend, "preemptible", False) else None
+        run = asyncio.ensure_future(self.backend.run(cell))
+        try:
+            done, _ = await asyncio.wait((run,), timeout=limit)
+        except asyncio.CancelledError:
+            # The campaign was cancelled: leave the cell to its worker and
+            # drop the result, rather than kill a pool other campaigns share.
+            run.add_done_callback(_drop_result)
+            raise
+        if not done:
+            # Timed out: cancelling the run makes the backend kill the
+            # worker holding the cell (the pool rebuilds, the fleet respawns).
+            run.cancel()
+            await asyncio.wait((run,))
+            emit(
+                "pool_terminated",
+                reason="cell_timeout",
+                backend=getattr(self.backend, "name", type(self.backend).__name__),
+                timeout=limit,
+            )
+            return CellError(
+                type="TimeoutError",
+                message=(
+                    f"cell exceeded the {limit:g}s per-cell timeout "
+                    f"({CELL_TIMEOUT_ENV})"
+                ),
+                traceback="",
+            ), False
+        try:
+            return run.result(), False
+        except CellExecutionError as exc:
+            return exc.error, False
+        except Exception as exc:
+            return CellError.from_exception(exc), isinstance(exc, TRANSIENT_EXCEPTIONS)

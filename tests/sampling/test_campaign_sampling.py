@@ -13,7 +13,12 @@ from repro.core.jobs import (
     TraceSpec,
     cell_key,
 )
-from repro.sampling import IntervalSampling, SampledJob, SamplingInfo
+from repro.sampling import (
+    IntervalSampling,
+    RepresentativeSampling,
+    SampledJob,
+    SamplingInfo,
+)
 
 LENGTH = 8_000
 SIZES = (512, 2048)
@@ -102,6 +107,29 @@ class TestSampledCampaign:
             for entry in block["estimates"]:
                 low, high = entry["ci"]
                 assert low <= entry["value"] <= high
+
+    def test_event_log_is_strict_json_when_an_estimate_is_nan(self, tmp_path):
+        # PLO has no instruction fetches, so its sampled instruction miss
+        # ratio is NaN; the log must still hold only standard JSON.
+        events = tmp_path / "events.jsonl"
+        cells = [
+            CampaignCell("PLO", TraceSpec.catalog("PLO", LENGTH), SimulateJob(size=1024))
+        ]
+        result = run_campaign(
+            cells, workers=1, cache=False, events=events,
+            sampling=RepresentativeSampling(),
+        )
+        assert any(e.value != e.value for e in result.outcomes[0].sampling.estimates)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        records = [
+            json.loads(line, parse_constant=reject)
+            for line in events.read_text().splitlines()
+        ]
+        finished = next(r for r in records if r["event"] == "cell_finished")
+        assert finished["sampling"]["estimates"][1]["value"] is None
 
     def test_pre_wrapped_cells_are_not_double_wrapped(self):
         job = SampledJob(StackSweepJob(sizes=SIZES), PLAN)

@@ -9,7 +9,8 @@ processes, and the fleet backend resolves them by dotted path
 Faults are marked in the cell *label* (the one field that never enters
 the cache key), same convention as ``tests/test_campaign_faults.py``:
 ``CRASH`` kills the hosting process, ``FAIL`` raises inside the runner,
-``SLOW`` sleeps long enough to create overlap windows for dedupe tests.
+``HANG`` sleeps far past any test timeout, ``SLOW`` sleeps long enough
+to create overlap windows for dedupe tests.
 """
 
 import os
@@ -34,6 +35,21 @@ def fail_on_marker(cell):
     """Raise inside the runner for cells marked ``FAIL``."""
     if "FAIL" in cell.label:
         raise ValueError(f"injected failure: {cell.label}")
+    return fake_run(cell)
+
+
+def hang_on_marker(cell):
+    """Hang (far beyond any test timeout) for cells marked ``HANG``."""
+    if "HANG" in cell.label:
+        time.sleep(600)
+    return fake_run(cell)
+
+
+def linger_on_marker(cell):
+    """Take two seconds for cells marked ``SLOW``: time to act on a cell
+    while a pool worker is running it."""
+    if "SLOW" in cell.label:
+        time.sleep(2.0)
     return fake_run(cell)
 
 

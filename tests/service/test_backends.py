@@ -125,6 +125,25 @@ class TestFleetBackend:
         assert isinstance(result, CellResult)
         assert backend.respawns == 0
 
+    def test_cancelled_cell_frees_its_worker(self):
+        backend = SubprocessFleetBackend(
+            workers=1, runner=f"{HELPERS}:slow_fake_run"
+        )
+
+        async def body():
+            first = asyncio.ensure_future(backend.run(make_cell("cancel-me")))
+            await asyncio.sleep(0.05)
+            first.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await first
+            # The only worker was busy with the cancelled cell; the next
+            # cell must still find one instead of waiting forever.
+            return await asyncio.wait_for(backend.run(make_cell("next")), 30)
+
+        result = asyncio.run(with_backend(backend, body))
+        assert isinstance(result, CellResult)
+        assert backend.respawns == 1
+
 
 class TestRegistry:
     def test_known_backends(self):

@@ -6,11 +6,22 @@ import asyncio
 import pytest
 
 from repro.core.jobs import CampaignCell, SimulateJob, StackSweepJob, TraceSpec
-from repro.service.backends import BackendCrash, InlineBackend
+from repro.service.backends import (
+    BackendCrash,
+    InlineBackend,
+    PoolBackend,
+    SubprocessFleetBackend,
+)
 from repro.service.queue import QuotaExceeded
 from repro.service.scheduler import Scheduler
 
-from .helpers import fail_on_marker, fake_run, slow_fake_run
+from .helpers import (
+    fail_on_marker,
+    fake_run,
+    hang_on_marker,
+    linger_on_marker,
+    slow_fake_run,
+)
 
 LENGTH = 4_000
 
@@ -377,3 +388,110 @@ class TestCancellation:
         state = asyncio.run(body())
         assert state.status == "done"
         assert all(e["event"] != "campaign_cancelled" for e in state.events)
+
+    def test_cancel_leaves_other_campaigns_pool_cells_alone(
+        self, tmp_path, monkeypatch
+    ):
+        """Cancelling one campaign must not kill the shared pool under
+        another campaign's running cell, even with no retries to spare."""
+        monkeypatch.setenv("REPRO_RETRIES", "0")
+        victim_cell, other_cell = make_cells(2)
+        victim_cell = CampaignCell("SLOW-victim", victim_cell.trace, victim_cell.job)
+        other_cell = CampaignCell("SLOW-other", other_cell.trace, other_cell.job)
+
+        async def body():
+            scheduler = Scheduler(
+                PoolBackend(2, runner=linger_on_marker), cache=tmp_path / "cache"
+            )
+            await scheduler.start()
+            try:
+                victim = scheduler.submit([victim_cell])
+                other = scheduler.submit([other_cell])
+                while victim.status != "running" or other.status != "running":
+                    await asyncio.sleep(0.01)
+                await asyncio.sleep(0.7)  # both cells are on pool workers
+                assert scheduler.cancel(victim.id) is True
+                async for _ in scheduler.stream_events(other):
+                    pass
+            finally:
+                await scheduler.close()
+            return victim, other
+
+        victim, other = asyncio.run(body())
+        assert victim.status == "cancelled"
+        assert other.status == "done"
+        assert other.outcomes[0]["ok"] is True
+
+
+class TestTimeoutAndRetry:
+    def run_hung_then_healthy(self, tmp_path, backend):
+        """A hung cell, then (at capacity 1) a healthy one behind it."""
+        cells = make_cells(2)
+        cells[0] = CampaignCell("HANG", cells[0].trace, cells[0].job)
+
+        async def body():
+            scheduler = Scheduler(backend, cache=tmp_path / "cache")
+            await scheduler.start()
+            try:
+                return await asyncio.wait_for(run_to_done(scheduler, cells), 60)
+            finally:
+                await scheduler.close()
+
+        return asyncio.run(body())
+
+    def check_timed_out_then_recovered(self, state, timeout):
+        assert state.status == "done"
+        hung, healthy = state.outcomes
+        assert hung["ok"] is False and hung["error"] == "TimeoutError"
+        assert "REPRO_CELL_TIMEOUT" in hung["message"]
+        assert healthy["ok"] is True and healthy["source"] == "run"
+        terminated = [e for e in state.events if e["event"] == "pool_terminated"]
+        assert [(e["label"], e["timeout"]) for e in terminated] == [("HANG", timeout)]
+
+    def test_hung_pool_cell_times_out_and_the_pool_recovers(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "1")
+        state = self.run_hung_then_healthy(
+            tmp_path, PoolBackend(1, runner=hang_on_marker)
+        )
+        self.check_timed_out_then_recovered(state, 1.0)
+
+    def test_hung_fleet_cell_times_out_and_the_worker_is_replaced(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "3")
+        backend = SubprocessFleetBackend(
+            workers=1, runner="tests.service.helpers:hang_on_marker"
+        )
+        state = self.run_hung_then_healthy(tmp_path, backend)
+        self.check_timed_out_then_recovered(state, 3.0)
+        assert backend.respawns == 1
+
+    def test_transient_failure_is_retried(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+        calls = []
+
+        def flaky(cell):  # inline backend: closures are fine
+            calls.append(cell.label)
+            if len(calls) == 1:
+                raise OSError("injected transient failure")
+            return fake_run(cell)
+
+        async def body():
+            scheduler = Scheduler(
+                InlineBackend(runner=flaky), cache=tmp_path / "cache"
+            )
+            await scheduler.start()
+            try:
+                return await run_to_done(scheduler, make_cells(1))
+            finally:
+                await scheduler.close()
+
+        state = asyncio.run(body())
+        assert state.outcomes[0]["ok"] is True
+        retried = [e for e in state.events if e["event"] == "cell_retried"]
+        assert len(retried) == 1
+        assert retried[0]["error"] == "OSError" and retried[0]["attempt"] == 1
+        finished = [e for e in state.events if e["event"] == "cell_finished"]
+        assert finished[0]["attempts"] == 2

@@ -1,7 +1,11 @@
 """Tests for the campaign runner: parallel execution, deterministic
 merging, and the on-disk result cache."""
 
+import asyncio
+import os
 import pickle
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -324,6 +328,36 @@ class TestRunCampaign:
     def test_results_are_picklable(self):
         result = run_campaign(small_cells()[:1], workers=1, cache=False)
         assert pickle.loads(pickle.dumps(result)).values() == result.values()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_callable_from_inside_a_running_event_loop(self, workers):
+        """Notebooks and async callers already run a loop; the call must
+        still work, synchronously, with results identical to a plain call."""
+        cells = small_cells()[:2]
+
+        async def caller():
+            return run_campaign(cells, workers=workers, cache=False)
+
+        inside = asyncio.run(caller())
+        assert inside.failed_cells == 0
+        assert inside.values() == run_campaign(cells, workers=1, cache=False).values()
+
+    def test_ctrl_c_stops_a_serial_cell_at_once(self):
+        """SIGINT raises inside the running serial cell, as a plain loop
+        over the cells would, instead of waiting for the cell to end."""
+        calls = []
+
+        def interrupted(cell):
+            calls.append(cell.label)
+            os.kill(os.getpid(), signal.SIGINT)
+            time.sleep(10)
+            return run_cell(cell)
+
+        started = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(small_cells(), workers=1, cache=False, runner=interrupted)
+        assert time.perf_counter() - started < 5
+        assert calls == ["ZGREP/sim"]
 
 
 class TestExperimentEquivalence:

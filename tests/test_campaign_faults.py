@@ -25,6 +25,7 @@ from repro.core.jobs import (
     CellError,
     StackSweepJob,
     TraceSpec,
+    cell_key,
     run_cell,
 )
 
@@ -254,6 +255,23 @@ class TestPoolFaults:
         assert all(o.ok for o in result.outcomes if o.label != "FAIL-hang")
         kinds = [json.loads(line)["event"] for line in events.read_text().splitlines()]
         assert "pool_terminated" in kinds
+
+    def test_claim_file_left_by_a_killed_run_does_not_stall_the_next(
+        self, tmp_path
+    ):
+        """A run killed by SIGTERM or SIGKILL cleans nothing up.  Whatever
+        coordination files it left in the cache directory must not make
+        the next local run on that cache wait before running the cells."""
+        cells = make_cells(["ok-a", "ok-b"])
+        for cell in cells:
+            key = cell_key(cell)
+            claim = tmp_path / key[:2] / f"{key}.claim"
+            claim.parent.mkdir(parents=True, exist_ok=True)
+            claim.write_text("4194304 0.000\n")
+        started = time.perf_counter()
+        result = run_campaign(cells, workers=2, cache=tmp_path, retries=0)
+        assert time.perf_counter() - started < 30
+        assert result.failed_cells == 0 and result.simulated_cells == 2
 
 
 class TestEquivalence:
