@@ -208,8 +208,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="behavioral clusters for --sampling representative "
                    "(default 8)")
     p.add_argument("--sampling-mode", default="systematic",
-                   choices=["systematic", "random", "stratified"],
-                   help="how sampled windows are chosen")
+                   choices=["systematic", "random"],
+                   help="how interval-sampled windows are chosen: evenly "
+                   "spaced with a seeded phase, or seeded-random")
     p.add_argument("--sampling-warmup", default="discard",
                    choices=["cold", "discard", "stitch"],
                    help="cold-start handling per sampled window")

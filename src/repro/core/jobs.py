@@ -72,6 +72,8 @@ __all__ = [
 #: Version 6: sampled simulations estimate the instruction miss ratio
 #: from ``IFETCH`` references alone (``FETCH`` records no longer count),
 #: matching :attr:`SimulationReport.instruction_miss_ratio`.
+#: Interval-plan identities later lost their ``strata`` key without a bump:
+#: interval-sampled cell keys changed once, every other key stayed.
 CACHE_SCHEMA_VERSION = 6
 
 _WRITE_POLICIES = {

@@ -463,15 +463,7 @@ def lru_miss_ratio_curve(
         ValueError: if any capacity is not a positive multiple of the line
             size, or ``purge_interval`` is not positive.
     """
-    capacities = np.asarray(capacities, dtype=np.int64)
-    if len(capacities) and (
-        (capacities <= 0).any() or (capacities % line_size != 0).any()
-    ):
-        raise ValueError(
-            f"capacities must be positive multiples of line_size={line_size}"
-        )
-    if purge_interval is not None and purge_interval <= 0:
-        raise ValueError(f"purge_interval must be positive, got {purge_interval}")
+    caps_lines = capacity_lines(capacities, line_size, purge_interval)
     # The compiled view memoizes the expanded (line, kind, position) arrays
     # per line size — and the finished profile per (kinds, purge) — so
     # repeated sweeps over one trace do the distance pass only once.
@@ -481,23 +473,64 @@ def lru_miss_ratio_curve(
         ("stack-profile", kind_key, purge_interval),
         lambda: _curve_profile(compiled, kinds, purge_interval),
     )
-    return profile.miss_ratios(capacities // line_size)
+    return profile.miss_ratios(caps_lines)
 
 
 def _curve_profile(compiled, kinds, purge_interval) -> StackDistanceProfile:
-    if kinds is not None:
-        mask = np.isin(compiled.kinds, [int(k) for k in kinds])
-        lines = compiled.lines[mask]
-        # Positions are original trace indices, fixed *before* line
-        # expansion so the purge clock counts trace references even when
-        # line-straddling accesses expand into several line references.
-        positions = compiled.positions[mask]
-    else:
-        lines = compiled.lines
-        positions = compiled.positions
-    resets = None
-    if purge_interval is not None and len(positions):
-        # Reset before the first reference of each new purge epoch.
-        epoch = positions // purge_interval
-        resets = np.nonzero(np.diff(epoch) > 0)[0] + 1
-    return lru_stack_distances(lines, resets)
+    lines, positions = kind_stream(compiled, kinds)
+    return lru_stack_distances(lines, purge_resets(positions, purge_interval))
+
+
+# -- shared sweep rules (the exact sweep and the sampled engines) -------------
+
+
+def capacity_lines(
+    capacities, line_size: int, purge_interval: int | None
+) -> np.ndarray:
+    """Sweep capacities in bytes as line counts, after validating them.
+
+    Raises:
+        ValueError: if any capacity is not a positive multiple of the line
+            size, or ``purge_interval`` is not positive.
+    """
+    capacities = np.asarray(capacities, dtype=np.int64)
+    if len(capacities) and (
+        (capacities <= 0).any() or (capacities % line_size != 0).any()
+    ):
+        raise ValueError(
+            f"capacities must be positive multiples of line_size={line_size}"
+        )
+    if purge_interval is not None and purge_interval <= 0:
+        raise ValueError(f"purge_interval must be positive, got {purge_interval}")
+    return capacities // line_size
+
+
+def kind_stream(compiled, kinds) -> tuple[np.ndarray, np.ndarray]:
+    """``(lines, positions)`` of a compiled trace, restricted to ``kinds``.
+
+    Positions are original trace indices, fixed *before* line expansion,
+    so a purge clock run over them counts trace references even when
+    line-straddling accesses expand into several line references.
+    """
+    if kinds is None:
+        return compiled.lines, compiled.positions
+    mask = np.isin(compiled.kinds, [int(k) for k in kinds])
+    return compiled.lines[mask], compiled.positions[mask]
+
+
+def purge_resets(
+    positions: np.ndarray, purge_interval: int | None
+) -> np.ndarray | None:
+    """Reset indices of a task-switch purge every ``purge_interval`` references.
+
+    The stack resets before the first reference of each new
+    ``position // purge_interval`` epoch, with ``positions`` in trace
+    references (see :func:`kind_stream`).  A slice of positions yields
+    the resets relative to the slice, so a sampled segment purges
+    exactly when the full run would.  None when nothing resets.
+    """
+    if purge_interval is None or not len(positions):
+        return None
+    epoch = positions // purge_interval
+    resets = np.nonzero(np.diff(epoch) > 0)[0] + 1
+    return resets if len(resets) else None

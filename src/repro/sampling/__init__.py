@@ -3,9 +3,9 @@
 The subsystem has four layers (see ``docs/sampling.md``):
 
 * :mod:`~repro.sampling.plans` — *what to sample*:
-  :class:`IntervalSampling` (systematic / seeded-random /
-  stratified-by-phase windows), :class:`SetSampling` (a hash-selected
-  subset of cache sets, exact per kept set), and
+  :class:`IntervalSampling` (systematic or seeded-random windows),
+  :class:`SetSampling` (a hash-selected subset of cache sets, exact per
+  kept set), and
   :class:`RepresentativeSampling` (one weighted medoid window per
   behavioral cluster, SimPoint-style).
 * :mod:`~repro.sampling.engine` / :mod:`~repro.sampling.representative`
@@ -13,10 +13,10 @@ The subsystem has four layers (see ``docs/sampling.md``):
   kernel passes, or windowed direct simulation, each with cold-start
   bias bounds; representative plans add a memoized whole-trace windowed
   profile that prices additional configurations at a handful of windows.
-* :mod:`~repro.sampling.estimators` — *what to report*: stratified ratio
-  estimates with seeded-bootstrap confidence intervals, widened
-  deterministically by the warm-start bias bounds, and weighted-medoid
-  estimates bracketed by the windowed profile.
+* :mod:`~repro.sampling.estimators` — *what to report*: ratio estimates
+  with seeded-bootstrap confidence intervals, widened deterministically by
+  the warm-start bias bounds, and weighted-medoid estimates bracketed by
+  the windowed profile.
 * :mod:`~repro.sampling.jobs` / :mod:`~repro.sampling.calibrate` —
   campaign integration (:class:`SampledJob`, ``run_campaign(...,
   sampling=plan)``) and the error-budget calibrator.

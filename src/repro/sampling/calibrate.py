@@ -53,9 +53,5 @@ def calibrate(
     base = plan if plan is not None else IntervalSampling()
     budgeted = replace(base, target_rel_err=target_rel_err)
     value = run_sampled(trace, job, budgeted)
-    rounds = value.info.calibration_rounds
-    fraction = budgeted.fraction
-    for _ in range(rounds - 1):
-        fraction = min(budgeted.max_fraction, fraction * budgeted.growth)
-    calibrated = replace(budgeted, fraction=fraction)
-    return calibrated, value
+    # The info carries the final round's plan identity, grown fraction included.
+    return replace(budgeted, fraction=value.info.plan["fraction"]), value

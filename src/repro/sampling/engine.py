@@ -45,10 +45,17 @@ import numpy as np
 from ..core.jobs import AssociativitySweepJob, SimulateJob, StackSweepJob
 from ..core.kernels import all_associativity_hit_counts
 from ..core.simulator import simulate
-from ..core.stackdist import COLD_DISTANCE, set_stack_distances
+from ..core.stackdist import (
+    COLD_DISTANCE,
+    capacity_lines,
+    kind_stream,
+    purge_resets,
+    set_stack_distances,
+)
 from ..trace.stream import Trace
 from .estimators import Estimate, SampledValue, SamplingInfo, ratio_estimates
 from .plans import (
+    Interval,
     IntervalSampling,
     RepresentativeSampling,
     SamplingPlan,
@@ -67,10 +74,6 @@ __all__ = [
     "run_sampled",
 ]
 
-#: Sentinel distance for a cold (first-touch) reference; larger than any
-#: real capacity, so cold references count as misses at every size.
-_COLD = COLD_DISTANCE
-
 #: Absolute floor under which a miss ratio is "small enough": the
 #: calibration budget compares CI half-widths against
 #: ``max(estimate, _BUDGET_FLOOR)`` so near-zero cells do not chase an
@@ -78,42 +81,13 @@ _COLD = COLD_DISTANCE
 _BUDGET_FLOOR = 1e-3
 
 
-# -- exact per-reference stack distances -------------------------------------
-
-
-def _segment_distances(segment: np.ndarray, resets: np.ndarray | None) -> np.ndarray:
-    """Per-reference LRU stack distances of one sampled segment.
-
-    Consecutive repeats are distance 1; cold references get the
-    :data:`_COLD` sentinel; ``resets`` marks purge points.  Delegates to
-    the vectorized machinery of :mod:`repro.core.stackdist`, so sampled
-    windows take the same array passes as full sweeps instead of the old
-    per-reference Fenwick loop.
-    """
-    return set_stack_distances(segment, 1, resets)
+# -- interval-sampled stack sweep --------------------------------------------
 
 
 def _miss_counts(distances: np.ndarray, capacities_lines: np.ndarray) -> np.ndarray:
     """Miss counts per capacity: references with distance > capacity."""
     ordered = np.sort(distances)
     return len(ordered) - np.searchsorted(ordered, capacities_lines, side="right")
-
-
-def _purge_resets(positions: np.ndarray, purge_interval: int | None) -> np.ndarray | None:
-    """Relative reset indices from *absolute* trace positions.
-
-    The purge clock runs over absolute trace references (the same epoch
-    rule as :func:`repro.core.stackdist.lru_miss_ratio_curve`), so a
-    sampled segment purges exactly when the full run would.
-    """
-    if purge_interval is None or not len(positions):
-        return None
-    epoch = positions // purge_interval
-    resets = np.nonzero(np.diff(epoch) > 0)[0] + 1
-    return resets if len(resets) else None
-
-
-# -- interval-sampled stack sweep --------------------------------------------
 
 
 def sampled_stack_sweep(
@@ -130,21 +104,10 @@ def sampled_stack_sweep(
         from .representative import representative_stack_sweep
 
         return representative_stack_sweep(trace, job, plan)
-    capacities = np.asarray(job.sizes, dtype=np.int64)
-    if len(capacities) and (
-        (capacities <= 0).any() or (capacities % job.line_size != 0).any()
-    ):
-        raise ValueError(
-            f"capacities must be positive multiples of line_size={job.line_size}"
-        )
-    if job.purge_interval is not None and job.purge_interval <= 0:
-        raise ValueError(
-            f"purge_interval must be positive, got {job.purge_interval}"
-        )
-    caps_lines = capacities // job.line_size
+    caps_lines = capacity_lines(job.sizes, job.line_size, job.purge_interval)
     metrics = len(caps_lines)
     total = len(trace)
-    selection = select_intervals(plan, total, trace)
+    selection = select_intervals(plan, total)
     if not selection.intervals:
         # No sampled references: the miss ratio is unknown, not perfect.
         nan = float("nan")
@@ -154,14 +117,7 @@ def sampled_stack_sweep(
             _interval_info(plan, selection, 0, 0, total, estimates),
         )
 
-    compiled = trace.compiled(job.line_size)
-    if job.kinds is not None:
-        mask = np.isin(compiled.kinds, list(job.kinds))
-        lines = compiled.lines[mask]
-        positions = compiled.positions[mask]
-    else:
-        lines = compiled.lines
-        positions = compiled.positions
+    lines, positions = kind_stream(trace.compiled(job.line_size), job.kinds)
 
     units = len(selection.intervals)
     misses = np.zeros((units, metrics))
@@ -181,8 +137,8 @@ def sampled_stack_sweep(
         ]
         segment = np.concatenate([lines[lo:hi] for lo, hi in bounds])
         seg_positions = np.concatenate([positions[lo:hi] for lo, hi in bounds])
-        distances = _segment_distances(
-            segment, _purge_resets(seg_positions, job.purge_interval)
+        distances = set_stack_distances(
+            segment, 1, purge_resets(seg_positions, job.purge_interval)
         )
         offset = 0
         for w, ((lo, hi), iv) in enumerate(zip(bounds, selection.intervals)):
@@ -192,7 +148,7 @@ def sampled_stack_sweep(
             offset += span
             misses[w] = _miss_counts(window_distances, caps_lines)
             refs[w] = span
-            cold = int(np.count_nonzero(window_distances == _COLD))
+            cold = int(np.count_nonzero(window_distances == COLD_DISTANCE))
             distinct = len(np.unique(window_lines)) if span else 0
             if iv.start > 0:
                 # A globally-cold reference may be a true hit (its line
@@ -217,8 +173,8 @@ def sampled_stack_sweep(
             if hi == mid:
                 continue  # window matched no (filtered) references
             segment = lines[lo:hi]
-            resets = _purge_resets(positions[lo:hi], job.purge_interval)
-            distances = _segment_distances(segment, resets)
+            resets = purge_resets(positions[lo:hi], job.purge_interval)
+            distances = set_stack_distances(segment, 1, resets)
             window_distances = distances[mid - lo :]
             misses[w] = _miss_counts(window_distances, caps_lines)
             refs[w] = hi - mid
@@ -233,7 +189,7 @@ def sampled_stack_sweep(
                 bias_end = int(resets[0]) - prefix_length
             else:
                 bias_end = hi - mid
-            cold = int(np.count_nonzero(window_distances[:bias_end] == _COLD))
+            cold = int(np.count_nonzero(window_distances[:bias_end] == COLD_DISTANCE))
             if cold:
                 prefix_distinct = len(np.unique(segment[:prefix_length]))
                 bias_up[w] = np.minimum(
@@ -244,7 +200,6 @@ def sampled_stack_sweep(
         misses,
         refs,
         expansion=selection.expansion,
-        strata=selection.strata,
         bias_up=(selection.expansion[:, None] * bias_up).sum(axis=0),
         bias_down=(selection.expansion[:, None] * bias_down).sum(axis=0),
         confidence=plan.confidence,
@@ -338,7 +293,7 @@ def sampled_associativity_sweep(
     groups, rows, cols = _surface_cells(job)
     metrics = rows * cols
     total = len(trace)
-    selection = select_intervals(plan, total, trace)
+    selection = select_intervals(plan, total)
     compiled = trace.compiled(job.line_size)
     lines, positions = compiled.lines, compiled.positions
 
@@ -386,7 +341,6 @@ def sampled_associativity_sweep(
         misses,
         refs,
         expansion=selection.expansion,
-        strata=selection.strata,
         bias_up=(selection.expansion[:, None] * bias_up).sum(axis=0),
         confidence=plan.confidence,
         bootstrap=plan.bootstrap,
@@ -514,6 +468,112 @@ class SampledReport:
         return self.data.miss_ratio
 
 
+def _sampled_total(trace: Trace, job: SimulateJob) -> int:
+    """References a sampled :class:`SimulateJob` stands for.
+
+    Raises:
+        ValueError: if the job itself requests warmup (compose the plan's
+            warmup instead).
+    """
+    if job.warmup:
+        raise ValueError(
+            "sampled SimulateJob cells must not set job.warmup; "
+            "use the plan's warmup mode instead"
+        )
+    return len(trace) if job.limit is None else min(job.limit, len(trace))
+
+
+class _WindowRows:
+    """What a sampled simulation reads from each window's report.
+
+    ``misses`` and ``references`` hold the (overall, ifetch, data) class
+    counts, ``traffic`` the (overall, instruction, data) memory-traffic
+    bytes, and ``window_refs`` the window's trace references.
+    """
+
+    def __init__(self, units: int) -> None:
+        self.misses = np.zeros((units, 3))
+        self.references = np.zeros((units, 3))
+        self.traffic = np.zeros((units, 3))
+        self.window_refs = np.zeros(units)
+
+    def read(self, w: int, report, interval: Interval) -> None:
+        overall = report.overall
+        self.misses[w] = (
+            overall.misses,
+            overall.ifetch.misses,
+            overall.read.misses + overall.write.misses,
+        )
+        self.references[w] = (
+            overall.references,
+            overall.ifetch.references,
+            overall.read.references + overall.write.references,
+        )
+        self.traffic[w] = (
+            report.overall.memory_traffic_bytes,
+            report.instruction.memory_traffic_bytes,
+            report.data.memory_traffic_bytes,
+        )
+        self.window_refs[w] = interval.stop - interval.start
+
+
+def _replay_windows(
+    trace: Trace, job: SimulateJob, intervals: tuple[Interval, ...], warm: int
+) -> _WindowRows:
+    """Replay each window through a fresh organization after a discarded
+    prefix of up to ``warm`` references (``simulate``'s own warmup
+    machinery).  The purge clock restarts at the prefix start, a
+    documented approximation."""
+    rows = _WindowRows(len(intervals))
+    for w, iv in enumerate(intervals):
+        warm_start = max(0, iv.start - warm)
+        report = simulate(
+            trace[warm_start : iv.stop],
+            job.build_organization(),
+            purge_interval=job.purge_interval,
+            warmup=iv.start - warm_start,
+            engine=job.engine,
+        )
+        rows.read(w, report, iv)
+    return rows
+
+
+def _sampled_report(
+    trace: Trace,
+    job: SimulateJob,
+    total: int,
+    estimates: list[Estimate],
+    class_fraction: np.ndarray,
+) -> SampledReport:
+    """The :class:`SampledReport` of a sampled simulation.
+
+    ``estimates`` are the (overall, instruction, data) miss ratios then
+    traffic bytes per reference; ``class_fraction`` is each side's share
+    of the references.  Traffic and side references are scaled to
+    ``total``; an unobserved (NaN) quantity scales to 0.
+    """
+
+    def scaled(share: float) -> int:
+        return int(round(share * total)) if np.isfinite(share) else 0
+
+    sides = [
+        SampledStats(
+            miss_ratio=estimates[column].value,
+            memory_traffic_bytes=scaled(estimates[3 + column].value),
+            references=total if column == 0 else scaled(class_fraction[column]),
+        )
+        for column in range(3)
+    ]
+    return SampledReport(
+        trace_name=trace.metadata.name,
+        references=total,
+        purge_interval=job.purge_interval,
+        overall=sides[0],
+        instruction=sides[1],
+        data=sides[2],
+    )
+
+
 def sampled_simulate(
     trace: Trace, job: SimulateJob, plan: IntervalSampling | RepresentativeSampling
 ) -> SampledValue:
@@ -529,41 +589,29 @@ def sampled_simulate(
 
     Raises:
         ValueError: if the job itself requests warmup (compose the plan's
-            warmup instead) or a limit shorter than the trace is combined
-            with stitch mode.
+            warmup instead).
     """
     if isinstance(plan, RepresentativeSampling):
         from .representative import representative_simulate
 
         return representative_simulate(trace, job, plan)
-    if job.warmup:
-        raise ValueError(
-            "sampled SimulateJob cells must not set job.warmup; "
-            "use the plan's warmup mode instead"
-        )
-    total = len(trace) if job.limit is None else min(job.limit, len(trace))
-    selection = select_intervals(plan, total, trace)
-    units = len(selection.intervals)
-    # Columns: (overall, ifetch, data) misses then traffic bytes per side.
-    miss_num = np.zeros((units, 3))
-    miss_den = np.zeros((units, 3))
-    traffic = np.zeros((units, 3))
-    refs = np.zeros(units)
-    bias_up = np.zeros((units, 6))
-    bias_down = np.zeros((units, 6))
-    measured = 0
-    replayed = 0
-
+    total = _sampled_total(trace, job)
+    selection = select_intervals(plan, total)
+    intervals = selection.intervals
+    measured = sum(iv.stop - iv.start for iv in intervals)
+    # Cold-start bounds in lines per window, from the line stream
+    # (rigorous for LRU demand fetch; a heuristic otherwise — see
+    # docs/sampling.md).
+    over = np.zeros(len(intervals))
+    under = np.zeros(len(intervals))
     compiled = trace.compiled(job.line_size)
     lines, positions = compiled.lines, compiled.positions
-    stitch = plan.warmup == "stitch"
-    organization = job.build_organization() if stitch else None
-    seen: np.ndarray | None = np.empty(0, dtype=np.int64) if stitch else None
-    warm = plan.warmup_references
 
-    for w, iv in enumerate(selection.intervals):
-        if stitch:
-            warm_start = iv.start
+    if plan.warmup == "stitch":
+        rows = _WindowRows(len(intervals))
+        organization = job.build_organization()
+        seen = np.empty(0, dtype=np.int64)
+        for w, iv in enumerate(intervals):
             organization.reset_statistics()
             # Stitch mode deliberately carries the warm organization across
             # windows (functional warming); allow_warm opts into the reuse.
@@ -574,117 +622,59 @@ def sampled_simulate(
                 engine=job.engine,
                 allow_warm=True,
             )
-        else:
-            warm_start = max(0, iv.start - warm)
-            report = simulate(
-                trace[warm_start : iv.stop],
-                job.build_organization(),
-                purge_interval=job.purge_interval,
-                warmup=iv.start - warm_start,
-                engine=job.engine,
-            )
-        measured += iv.stop - iv.start
-        replayed += iv.stop - warm_start
-        overall = report.overall
-        miss_num[w] = (
-            overall.misses,
-            overall.ifetch.misses,
-            overall.read.misses + overall.write.misses,
-        )
-        miss_den[w] = (
-            overall.references,
-            overall.ifetch.references,
-            overall.read.references + overall.write.references,
-        )
-        traffic[w] = (
-            report.overall.memory_traffic_bytes,
-            report.instruction.memory_traffic_bytes,
-            report.data.memory_traffic_bytes,
-        )
-        refs[w] = iv.stop - iv.start
-
-        # Cold-start bounds from the line stream (rigorous for LRU demand
-        # fetch; a heuristic otherwise — see docs/sampling.md).
-        lo, hi = np.searchsorted(positions, [iv.start, iv.stop], side="left")
-        window_lines = np.unique(lines[int(lo) : int(hi)])
-        if stitch:
+            rows.read(w, report, iv)
+            lo, hi = np.searchsorted(positions, [iv.start, iv.stop], side="left")
+            window_lines = np.unique(lines[int(lo) : int(hi)])
             cold = len(np.setdiff1d(window_lines, seen, assume_unique=True))
-            cross = len(window_lines) - cold
             seen = np.union1d(seen, window_lines)
             if iv.start > 0:
-                bias_up[w, :3] = cold
-                bias_up[w, 3:] = cold * 2 * job.line_size
-            bias_down[w, :3] = cross
-            bias_down[w, 3:] = cross * 2 * job.line_size
-        elif warm_start > 0:
-            plo = int(np.searchsorted(positions, warm_start, side="left"))
-            cold = len(np.setdiff1d(window_lines, lines[plo : int(lo)], assume_unique=False))
-            bias_up[w, :3] = cold
-            bias_up[w, 3:] = cold * 2 * job.line_size
+                over[w] = cold
+            under[w] = len(window_lines) - cold
+        replayed = measured
+    else:
+        warm = plan.warmup_references
+        rows = _replay_windows(trace, job, intervals, warm)
+        replayed = 0
+        for w, iv in enumerate(intervals):
+            warm_start = max(0, iv.start - warm)
+            replayed += iv.stop - warm_start
+            if warm_start > 0:
+                plo, lo, hi = (
+                    int(b)
+                    for b in np.searchsorted(
+                        positions, [warm_start, iv.start, iv.stop], side="left"
+                    )
+                )
+                over[w] = len(np.setdiff1d(np.unique(lines[lo:hi]), lines[plo:lo]))
 
-    miss_estimates: list[Estimate] = []
-    for column in range(3):
-        miss_estimates.extend(
+    # Each possibly spurious miss is priced at two lines of traffic (a
+    # fetch and a write-back).
+    line_traffic = 2 * job.line_size
+    estimates: list[Estimate] = []
+    for column in range(6):
+        side = column % 3
+        if column < 3:
+            numerators, denominators = rows.misses[:, side], rows.references[:, side]
+            up, down, clip = over, under, (0.0, 1.0)
+        else:
+            numerators, denominators = rows.traffic[:, side], rows.window_refs
+            up, down, clip = over * line_traffic, under * line_traffic, (0.0, None)
+        estimates.extend(
             ratio_estimates(
-                miss_num[:, column],
-                miss_den[:, column],
+                numerators,
+                denominators,
                 expansion=selection.expansion,
-                strata=selection.strata,
-                bias_up=(selection.expansion * bias_up[:, column]).sum(),
-                bias_down=(selection.expansion * bias_down[:, column]).sum(),
+                bias_up=(selection.expansion * up).sum(),
+                bias_down=(selection.expansion * down).sum(),
                 confidence=plan.confidence,
                 bootstrap=plan.bootstrap,
                 seed=plan.seed + 1 + column,
-                clip=(0.0, 1.0),
+                clip=clip,
             )
         )
-    traffic_estimates: list[Estimate] = []
-    for column in range(3):
-        traffic_estimates.extend(
-            ratio_estimates(
-                traffic[:, column],
-                refs,
-                expansion=selection.expansion,
-                strata=selection.strata,
-                bias_up=(selection.expansion * bias_up[:, 3 + column]).sum(),
-                bias_down=(selection.expansion * bias_down[:, 3 + column]).sum(),
-                confidence=plan.confidence,
-                bootstrap=plan.bootstrap,
-                seed=plan.seed + 4 + column,
-                clip=(0.0, None),
-            )
-        )
-
-    class_refs = miss_den.sum(axis=0)
-    class_fraction = class_refs / max(1.0, refs.sum())
-    sides = []
-    for column in range(3):
-        side_references = (
-            total if column == 0 else int(round(class_fraction[column] * total))
-        )
-        sides.append(
-            SampledStats(
-                miss_ratio=miss_estimates[column].value,
-                memory_traffic_bytes=int(round(traffic_estimates[column].value * total)),
-                references=side_references,
-            )
-        )
-    report = SampledReport(
-        trace_name=trace.metadata.name,
-        references=total,
-        purge_interval=job.purge_interval,
-        overall=sides[0],
-        instruction=sides[1],
-        data=sides[2],
-    )
-    info = _interval_info(
-        plan,
-        selection,
-        measured,
-        replayed,
-        total,
-        tuple(miss_estimates) + tuple(traffic_estimates),
-    )
+    class_fraction = rows.references.sum(axis=0) / max(1.0, rows.window_refs.sum())
+    report = _sampled_report(trace, job, total, estimates, class_fraction)
+    info = _interval_info(plan, selection, measured, replayed, total, tuple(estimates))
     return SampledValue(report, info)
 
 

@@ -2,17 +2,17 @@
 
 The quantity of interest is almost always a **ratio of totals** — misses
 over references, traffic bytes over references — so the estimator is the
-classic ratio estimator with stratified expansion: each sampled unit
-(window or set class) is weighted by how many unsampled units it stands
-for, and the estimate is ``sum(w * numerator) / sum(w * denominator)``.
+classic ratio estimator with expansion weights: each sampled unit (window
+or set class) is weighted by how many units it stands for, and the
+estimate is ``sum(w * numerator) / sum(w * denominator)``.
 
 Uncertainty is quantified two ways, and the reported interval is the
 union of both:
 
-* **Sampling noise** — a seeded stratified bootstrap over the sampled
-  units (resampling within each stratum, sizes preserved) gives
-  percentile intervals, widened by a small-sample t/z factor because
-  percentile intervals under-cover at the handful-of-windows scale.
+* **Sampling noise** — a seeded bootstrap over the sampled units
+  (resampling the units with replacement) gives percentile intervals,
+  widened by a small-sample t/z factor because percentile intervals
+  under-cover at the handful-of-windows scale.
 * **Warm-start bias** — interval sampling cannot know whether a sampled
   window's cold references would have hit on state built before the
   window.  For LRU that error is one-sided and boundable (a warmed
@@ -165,7 +165,6 @@ def ratio_estimates(
     denominators: np.ndarray,
     *,
     expansion: np.ndarray | None = None,
-    strata: np.ndarray | None = None,
     bias_up: np.ndarray | float = 0.0,
     bias_down: np.ndarray | float = 0.0,
     confidence: float = 0.95,
@@ -173,15 +172,13 @@ def ratio_estimates(
     seed: int = 0,
     clip: tuple[float | None, float | None] = (0.0, None),
 ) -> list[Estimate]:
-    """Stratified ratio estimates with bootstrap + bias-bound intervals.
+    """Ratio estimates with bootstrap + bias-bound intervals.
 
     Args:
         numerators: shape ``(units, metrics)`` (or ``(units,)`` for one
             metric) — e.g. misses per sampled window per capacity.
         denominators: shape ``(units,)`` — e.g. references per window.
         expansion: per-unit expansion weights (default: all ones).
-        strata: per-unit stratum labels; the bootstrap resamples within
-            each stratum (default: one stratum).
         bias_up: per-metric bound on how much the sampled totals may
             *overcount* the truth (in numerator units); widens the lower
             interval edge.
@@ -195,7 +192,7 @@ def ratio_estimates(
 
     Returns:
         One :class:`Estimate` per metric column.  Units with zero
-        denominator contribute nothing (a zero-reference stratum simply
+        denominator contribute nothing (a zero-reference unit simply
         carries no weight); if *every* unit is empty the estimate is NaN —
         an unobserved ratio is unknown, not zero.
     """
@@ -206,11 +203,6 @@ def ratio_estimates(
     denominators = np.asarray(denominators, dtype=float).reshape(units)
     weights = (
         np.ones(units) if expansion is None else np.asarray(expansion, dtype=float)
-    )
-    labels = (
-        np.zeros(units, dtype=np.int64)
-        if strata is None
-        else np.asarray(strata, dtype=np.int64)
     )
     bias_up = np.broadcast_to(np.asarray(bias_up, dtype=float), (metrics,))
     bias_down = np.broadcast_to(np.asarray(bias_down, dtype=float), (metrics,))
@@ -228,20 +220,9 @@ def ratio_estimates(
 
     if bootstrap > 0 and units > 1:
         rng = np.random.default_rng(seed)
-        boot_num = np.zeros((bootstrap, metrics))
-        boot_den = np.zeros(bootstrap)
-        strata_members = [
-            np.nonzero(labels == stratum)[0] for stratum in np.unique(labels)
-        ]
-        if min(len(m) for m in strata_members) < 2:
-            # A single-unit stratum resamples to itself every time, which
-            # collapses the interval to zero width; pool the bootstrap
-            # instead (the expansion weights still carry the allocation).
-            strata_members = [np.arange(units)]
-        for members in strata_members:
-            draws = members[rng.integers(0, len(members), size=(bootstrap, len(members)))]
-            boot_num += weighted_num[draws].sum(axis=1)
-            boot_den += weighted_den[draws].sum(axis=1)
+        draws = rng.integers(0, units, size=(bootstrap, units))
+        boot_num = weighted_num[draws].sum(axis=1)
+        boot_den = weighted_den[draws].sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(boot_den[:, None] > 0, boot_num / np.maximum(boot_den[:, None], 1e-300), 0.0)
         tail = (1.0 - confidence) / 2.0

@@ -5,11 +5,8 @@ shrinking a trace-driven cache study:
 
 * **Interval (time) sampling** (:class:`IntervalSampling`) — simulate only
   periodic or randomly chosen windows of the reference stream and
-  extrapolate.  Window starts can be systematic (evenly spaced),
-  seeded-random, or stratified by program phase, where phases are found by
-  clustering per-window reference-mix features from
-  :mod:`repro.trace.characteristics` (kind fractions, branch fraction,
-  footprint) — the representativeness idea of Bueno et al.
+  extrapolate.  Window starts are systematic (evenly spaced with a seeded
+  phase) or seeded-random.
 * **Set sampling** (:class:`SetSampling`) — simulate only a hash-selected
   subset of cache sets.  Because the engine's set mapping is bit selection
   (``line & (num_sets - 1)``), keeping the lines whose low ``bits`` address
@@ -17,10 +14,12 @@ shrinking a trace-driven cache study:
   sets of every geometry with at least ``2**bits`` sets, and the kept
   sets' reference streams are exact — no warmup bias at all.
 
-A third plan, :class:`RepresentativeSampling`, pushes the stratified idea
-to its SimPoint-style conclusion: cluster *all* candidate windows by a
-behavioral signature and simulate only the medoid window of each cluster,
-weighted by cluster population (see :mod:`repro.sampling.representative`).
+A third plan, :class:`RepresentativeSampling`, chooses windows by program
+phase, the representativeness idea of Bueno et al.: cluster *all*
+candidate windows by a behavioral signature (per-window reference-mix
+features from :mod:`repro.trace.characteristics` plus stack-distance
+statistics) and simulate only the medoid window of each cluster, weighted
+by cluster population (see :mod:`repro.sampling.representative`).
 
 All plans are frozen, picklable, and expose :meth:`identity` so a sampled
 campaign cell keys the result cache on the plan as well as the work.
@@ -51,7 +50,7 @@ __all__ = [
 ]
 
 #: Interval-selection modes.
-INTERVAL_MODES = ("systematic", "random", "stratified")
+INTERVAL_MODES = ("systematic", "random")
 
 #: Cold-start handling per sampled interval.
 WARMUP_MODES = ("cold", "discard", "stitch")
@@ -66,10 +65,8 @@ class IntervalSampling:
             (warmup replays come on top; see ``warmup_fraction``).
         window: references per sampled window.
         mode: how window starts are chosen — ``"systematic"`` (evenly
-            spaced with a seeded phase), ``"random"`` (seeded sampling
-            without replacement), or ``"stratified"`` (windows clustered
-            into phases by reference-mix features, then sampled
-            proportionally per phase).
+            spaced with a seeded phase) or ``"random"`` (seeded sampling
+            without replacement).
         warmup: cold-start handling — ``"cold"`` (no mitigation; the bias
             bound widens the interval instead), ``"discard"`` (replay a
             prefix of ``warmup_fraction * window`` references before each
@@ -78,8 +75,7 @@ class IntervalSampling:
             windows in trace order).
         warmup_fraction: prefix length for ``"discard"``, as a fraction of
             the window.
-        strata: number of phases for ``"stratified"``.
-        seed: base seed for window choice, clustering and the bootstrap.
+        seed: base seed for window choice and the bootstrap.
         confidence: CI confidence level (default 95%).
         bootstrap: bootstrap replicates for the CI (0 = point estimate
             with a bias-bound-only interval).
@@ -99,7 +95,6 @@ class IntervalSampling:
     mode: str = "systematic"
     warmup: str = "discard"
     warmup_fraction: float = 0.5
-    strata: int = 4
     seed: int = 0
     confidence: float = 0.95
     bootstrap: int = 200
@@ -125,8 +120,6 @@ class IntervalSampling:
             raise ValueError(
                 f"warmup_fraction must be non-negative, got {self.warmup_fraction}"
             )
-        if self.strata <= 0:
-            raise ValueError(f"strata must be positive, got {self.strata}")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError(f"confidence must be in (0, 1), got {self.confidence}")
         if self.bootstrap < 0:
@@ -164,7 +157,6 @@ class IntervalSampling:
             "mode": self.mode,
             "warmup": self.warmup,
             "warmup_fraction": self.warmup_fraction,
-            "strata": self.strata,
             "seed": self.seed,
             "confidence": self.confidence,
             "bootstrap": self.bootstrap,
@@ -238,8 +230,8 @@ class SetSampling:
 class RepresentativeSampling:
     """A representative-interval plan (SimPoint-style, per Bueno et al.).
 
-    Instead of *sampling* windows from every stratum, cluster all candidate
-    windows by a behavioral signature — reference mix, branch fraction,
+    Instead of *sampling* windows, cluster all candidate windows by a
+    behavioral signature — reference mix, branch fraction,
     within-window footprint, footprint growth, and a log-bucketed
     stack-distance sketch — and simulate only the **medoid** window of each
     cluster, weighting its contribution by the cluster population.  The
@@ -299,7 +291,6 @@ class Interval:
 
     start: int
     stop: int
-    stratum: int = 0
 
 
 @dataclass(frozen=True)
@@ -308,16 +299,13 @@ class SelectedIntervals:
 
     Attributes:
         intervals: the sampled windows, ascending by start.
-        expansion: per-interval expansion factor ``N_h / k_h`` (candidate
-            windows over sampled windows in the interval's stratum) — the
-            stratified estimator's weights.
-        strata: per-interval stratum labels (all zero unless stratified).
+        expansion: per-interval expansion factor ``N / k`` (candidate
+            windows over sampled windows) — the ratio estimator's weights.
         candidates: total candidate windows the trace offered.
     """
 
     intervals: tuple[Interval, ...]
     expansion: np.ndarray
-    strata: np.ndarray
     candidates: int
 
 
@@ -342,10 +330,11 @@ def window_mix_features(trace: Trace, candidates: int, window: int) -> np.ndarra
     The same observable "phase" signature as
     :func:`repro.trace.characteristics.characterize` — kind fractions,
     branch fraction, and footprint bytes per reference — but computed for
-    all windows in one vectorized sweep instead of per-window slicing
-    (the slice-and-characterize loop dominated stratified selection on
-    long traces).  Columns: ifetch, read, write fractions; branch
-    fraction; footprint bytes per reference.
+    all windows in one vectorized sweep instead of per-window slicing.
+    These are the first columns of the representative signatures
+    (:func:`repro.sampling.representative.window_signatures`).  Columns:
+    ifetch, read, write fractions; branch fraction; footprint bytes per
+    reference.
     """
     from ..trace.characteristics import BRANCH_WINDOW_BYTES, FOOTPRINT_LINE_SIZE
     from ..trace.record import AccessKind
@@ -400,11 +389,6 @@ def window_mix_features(trace: Trace, candidates: int, window: int) -> np.ndarra
     return np.column_stack([mix, branch, density])
 
 
-def _window_features(trace: Trace, starts: np.ndarray, window: int) -> np.ndarray:
-    """Standardized reference-mix features, one row per candidate window."""
-    return _standardize(window_mix_features(trace, len(starts), window))
-
-
 def kmeans(
     features: np.ndarray, clusters: int, rng: np.random.Generator, iterations: int = 10
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -441,125 +425,38 @@ def kmeans(
     return labels, centers
 
 
-def _kmeans_labels(
-    features: np.ndarray, clusters: int, rng: np.random.Generator, iterations: int = 10
-) -> np.ndarray:
-    """Seeded Lloyd labels; deterministic for a given generator state."""
-    return kmeans(features, clusters, rng, iterations)[0]
-
-
-def _allocate(sizes: np.ndarray, total: int) -> np.ndarray:
-    """Proportional allocation of ``total`` draws across strata.
-
-    Every nonempty stratum gets at least one draw when ``total`` allows;
-    with fewer draws than strata, the largest strata win.  Allocations
-    never exceed a stratum's size; freed draws respill to strata with
-    spare capacity.
-    """
-    strata = len(sizes)
-    out = np.zeros(strata, dtype=np.int64)
-    if total >= strata:
-        out[:] = 1
-        remaining = total - strata
-        quota = remaining * sizes / sizes.sum()
-        out += np.floor(quota).astype(np.int64)
-        leftovers = np.argsort(-(quota - np.floor(quota)), kind="stable")
-        out[leftovers[: total - int(out.sum())]] += 1
-    else:
-        for index in np.argsort(-sizes, kind="stable")[:total]:
-            out[index] = 1
-    # Cap at stratum size and respill greedily by spare capacity.
-    excess = int(np.maximum(out - sizes, 0).sum())
-    out = np.minimum(out, sizes)
-    while excess > 0:
-        spare = sizes - out
-        target = int(np.argmax(spare))
-        if spare[target] <= 0:
-            break
-        grant = min(excess, int(spare[target]))
-        out[target] += grant
-        excess -= grant
-    return out
-
-
-def select_intervals(
-    plan: IntervalSampling, total: int, trace: Trace | None = None
-) -> SelectedIntervals:
+def select_intervals(plan: IntervalSampling, total: int) -> SelectedIntervals:
     """Choose the windows of ``total`` references this plan measures.
-
-    Args:
-        plan: the interval plan.
-        total: trace length in references.
-        trace: required for ``mode="stratified"`` (the phase features are
-            computed from the trace itself).
 
     Returns:
         The selected windows with their estimator weights.  A trace
         shorter than one window yields a single whole-trace interval
         (the estimate is then exact); an empty trace yields no intervals.
-
-    Raises:
-        ValueError: if stratified selection is requested without a trace.
     """
     if total <= 0:
-        return SelectedIntervals(
-            (), np.empty(0, dtype=float), np.empty(0, dtype=np.int64), 0
-        )
+        return SelectedIntervals((), np.empty(0, dtype=float), 0)
     candidates = total // plan.window
     if candidates <= 1:
         # Window covers the trace (or all but a tail shorter than one
         # window): sample everything — the estimator degenerates to the
         # exact full-trace value.
         return SelectedIntervals(
-            (Interval(0, total, 0),),
-            np.ones(1, dtype=float),
-            np.zeros(1, dtype=np.int64),
-            max(1, candidates),
+            (Interval(0, total),), np.ones(1, dtype=float), max(1, candidates)
         )
 
     count = min(candidates, max(1, int(round(plan.fraction * candidates))))
     rng = np.random.default_rng(plan.seed)
-
     if plan.mode == "systematic":
         stride = candidates / count
         phase = float(rng.uniform(0.0, stride))
         chosen = np.floor(phase + stride * np.arange(count)).astype(np.int64)
         chosen = np.minimum(chosen, candidates - 1)
-        labels = np.zeros(count, dtype=np.int64)
-        expansion = np.full(count, candidates / count, dtype=float)
-    elif plan.mode == "random":
+    else:  # random
         chosen = np.sort(rng.choice(candidates, size=count, replace=False))
-        labels = np.zeros(count, dtype=np.int64)
-        expansion = np.full(count, candidates / count, dtype=float)
-    else:  # stratified
-        if trace is None:
-            raise ValueError("stratified interval selection needs the trace")
-        starts = np.arange(candidates, dtype=np.int64) * plan.window
-        features = _window_features(trace, starts, plan.window)
-        phase_of = _kmeans_labels(features, plan.strata, rng)
-        phases, sizes = np.unique(phase_of, return_counts=True)
-        allocation = _allocate(sizes, count)
-        chosen_parts: list[np.ndarray] = []
-        label_parts: list[np.ndarray] = []
-        expansion_parts: list[np.ndarray] = []
-        for stratum, (phase, size, draws) in enumerate(
-            zip(phases.tolist(), sizes.tolist(), allocation.tolist())
-        ):
-            if draws == 0:
-                continue
-            members = np.nonzero(phase_of == phase)[0]
-            picked = np.sort(rng.choice(members, size=draws, replace=False))
-            chosen_parts.append(picked)
-            label_parts.append(np.full(draws, stratum, dtype=np.int64))
-            expansion_parts.append(np.full(draws, size / draws, dtype=float))
-        chosen = np.concatenate(chosen_parts)
-        labels = np.concatenate(label_parts)
-        expansion = np.concatenate(expansion_parts)
-        order = np.argsort(chosen, kind="stable")
-        chosen, labels, expansion = chosen[order], labels[order], expansion[order]
-
     intervals = tuple(
-        Interval(int(c) * plan.window, int(c) * plan.window + plan.window, int(s))
-        for c, s in zip(chosen.tolist(), labels.tolist())
+        Interval(int(c) * plan.window, int(c) * plan.window + plan.window)
+        for c in chosen.tolist()
     )
-    return SelectedIntervals(intervals, expansion, labels, candidates)
+    return SelectedIntervals(
+        intervals, np.full(count, candidates / count, dtype=float), candidates
+    )

@@ -1,14 +1,14 @@
 """Representative-interval simulation: SimPoint-style weighted medoids.
 
-Stratified interval sampling (PR 4) still simulates windows from *every*
-stratum, which caps its speedup near the sampled fraction.  Following
-Bueno et al. ("Improving the Representativeness of Simulation Intervals
-for the Cache Memory System", PAPERS.md), this module instead clusters
-**all** candidate windows by a behavioral signature and simulates only
-the medoid window of each cluster, weighting its contribution by the
-cluster population.  The expensive part — one signature pass per trace —
-is computed once and memoized on the compiled trace, so a campaign that
-sweeps many cache configurations over the same trace pays it once.
+Interval sampling simulates a fixed fraction of the windows, which caps
+its speedup near that fraction.  Following Bueno et al. ("Improving the
+Representativeness of Simulation Intervals for the Cache Memory System",
+PAPERS.md), this module instead clusters **all** candidate windows by a
+behavioral signature and simulates only the medoid window of each
+cluster, weighting its contribution by the cluster population.  The
+expensive part — one signature pass per trace — is computed once and
+memoized on the compiled trace, so a campaign that sweeps many cache
+configurations over the same trace pays it once.
 
 **The windowed profile.**  Per-window stack-distance statistics for every
 candidate window come from two interleaved :func:`set_stack_distances`
@@ -42,9 +42,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.jobs import AssociativitySweepJob, SimulateJob, StackSweepJob
-from ..core.simulator import simulate
-from ..core.stackdist import COLD_DISTANCE, set_stack_distances
+from ..core.stackdist import (
+    COLD_DISTANCE,
+    capacity_lines,
+    kind_stream,
+    purge_resets,
+    set_stack_distances,
+)
 from ..trace.stream import Trace
+from .engine import _replay_windows, _sampled_report, _sampled_total, _surface_cells
 from .estimators import (
     Estimate,
     SampledValue,
@@ -151,7 +157,7 @@ def window_profile(
 def _merge_resets(
     boundaries: np.ndarray, purges: np.ndarray | None
 ) -> np.ndarray | None:
-    if purges is None or not len(purges):
+    if purges is None:
         merged = boundaries
     else:
         merged = np.union1d(boundaries, purges)
@@ -167,13 +173,7 @@ def _build_profile(
     purge_interval: int | None,
     num_sets: int,
 ) -> WindowProfile:
-    if kinds is not None:
-        mask = np.isin(compiled.kinds, [int(k) for k in kinds])
-        lines = compiled.lines[mask]
-        positions = compiled.positions[mask]
-    else:
-        lines = compiled.lines
-        positions = compiled.positions
+    lines, positions = kind_stream(compiled, kinds)
     starts, stops = _window_bounds(total, window)
     count = len(starts)
     n = len(lines)
@@ -184,13 +184,9 @@ def _build_profile(
     refs = np.diff(edges)
     win = np.searchsorted(starts, positions, side="right") - 1
 
-    # Purge resets at absolute positions (the same epoch rule as the
-    # exact curve), merged into both boundary-reset passes.
-    if purge_interval is not None and n:
-        epoch = positions // purge_interval
-        purges = np.nonzero(np.diff(epoch) > 0)[0] + 1
-    else:
-        purges = None
+    # Purge resets at absolute positions (the exact curve's rule),
+    # merged into both boundary-reset passes.
+    purges = purge_resets(positions, purge_interval)
     reset_a = _merge_resets(cuts[2::2], purges)
     reset_b = _merge_resets(cuts[1::2], purges)
 
@@ -213,7 +209,7 @@ def _build_profile(
     # First in-window purge bounds the overcount region; a purge in the
     # warm prefix (the preceding window) makes the measured state exact.
     window_ends = edges[1:]
-    if purges is not None and len(purges):
+    if purges is not None:
         slot = np.searchsorted(purges, cuts)
         first_purge = np.where(
             slot < len(purges), purges[np.minimum(slot, len(purges) - 1)], n
@@ -354,7 +350,7 @@ class RepresentativeSelection:
 
     Attributes:
         intervals: one medoid window per (nonempty) cluster, ascending by
-            start; ``stratum`` is the cluster index.
+            start.
         indices: candidate-window index of each medoid.
         weights: cluster populations (member window counts), aligned with
             ``intervals``; they sum to ``candidates``.
@@ -422,8 +418,8 @@ def _build_selection(
     relabel = {cluster_of[int(o)]: rank for rank, o in enumerate(order)}
     out_labels = np.asarray([relabel[int(c)] for c in labels], dtype=np.int64)
     intervals = tuple(
-        Interval(int(profile.starts[m]), int(profile.stops[m]), rank)
-        for rank, m in enumerate(indices.tolist())
+        Interval(int(profile.starts[m]), int(profile.stops[m]))
+        for m in indices.tolist()
     )
     return RepresentativeSelection(intervals, indices, weights, out_labels, count)
 
@@ -467,16 +463,7 @@ def representative_stack_sweep(
     bracket (rigorous here — the job *is* LRU demand fetch), so the truth
     is guaranteed inside the reported interval.
     """
-    capacities = np.asarray(job.sizes, dtype=np.int64)
-    if len(capacities) and (
-        (capacities <= 0).any() or (capacities % job.line_size != 0).any()
-    ):
-        raise ValueError(
-            f"capacities must be positive multiples of line_size={job.line_size}"
-        )
-    if job.purge_interval is not None and job.purge_interval <= 0:
-        raise ValueError(f"purge_interval must be positive, got {job.purge_interval}")
-    caps_lines = capacities // job.line_size
+    caps_lines = capacity_lines(job.sizes, job.line_size, job.purge_interval)
     total = len(trace)
     selection = select_representatives(trace, job.line_size, plan)
     if not selection.intervals:
@@ -522,8 +509,6 @@ def representative_associativity_sweep(
     proxy bracket holds per cell (the sweep is LRU demand fetch), with
     the unrefined cold bound for multi-set groups.
     """
-    from .engine import _surface_cells
-
     groups, rows, cols = _surface_cells(job)
     total = len(trace)
     selection = select_representatives(trace, job.line_size, plan)
@@ -580,64 +565,19 @@ def representative_simulate(
     the overall estimate's relative width as a heuristic interval (see
     ``docs/sampling.md``).
     """
-    from .engine import SampledReport, SampledStats
-
-    if job.warmup:
-        raise ValueError(
-            "sampled SimulateJob cells must not set job.warmup; "
-            "use the plan's warmup mode instead"
-        )
-    total = len(trace) if job.limit is None else min(job.limit, len(trace))
+    total = _sampled_total(trace, job)
     if total < len(trace):
         trace = trace[:total]
     selection = select_representatives(trace, job.line_size, plan)
     if not selection.intervals:
         nan = float("nan")
-        estimates = tuple(Estimate(nan, nan, nan, plan.confidence) for _ in range(6))
-        sides = SampledStats(nan, 0, 0)
-        report = SampledReport(
-            trace_name=trace.metadata.name,
-            references=total,
-            purge_interval=job.purge_interval,
-            overall=sides,
-            instruction=sides,
-            data=sides,
-        )
+        estimates = [Estimate(nan, nan, nan, plan.confidence)] * 6
+        report = _sampled_report(trace, job, total, estimates, np.zeros(3))
         return SampledValue(
-            report, _representative_info(plan, selection, total, estimates)
+            report, _representative_info(plan, selection, total, tuple(estimates))
         )
 
-    units = len(selection.intervals)
-    miss_num = np.zeros((units, 3))
-    miss_den = np.zeros((units, 3))
-    traffic = np.zeros((units, 3))
-    refs = np.zeros(units)
-    for w, iv in enumerate(selection.intervals):
-        warm_start = max(0, iv.start - plan.window)
-        report = simulate(
-            trace[warm_start : iv.stop],
-            job.build_organization(),
-            purge_interval=job.purge_interval,
-            warmup=iv.start - warm_start,
-            engine=job.engine,
-        )
-        overall = report.overall
-        miss_num[w] = (
-            overall.misses,
-            overall.ifetch.misses,
-            overall.read.misses + overall.write.misses,
-        )
-        miss_den[w] = (
-            overall.references,
-            overall.ifetch.references,
-            overall.read.references + overall.write.references,
-        )
-        traffic[w] = (
-            report.overall.memory_traffic_bytes,
-            report.instruction.memory_traffic_bytes,
-            report.data.memory_traffic_bytes,
-        )
-        refs[w] = iv.stop - iv.start
+    rows = _replay_windows(trace, job, selection.intervals, plan.window)
 
     # Overall-miss proxy from the matching LRU geometry: fully
     # associative at the capacity, or per-set at the associativity.
@@ -657,8 +597,8 @@ def representative_simulate(
     counts = window_miss_counts(profile, np.asarray([threshold]))
     bias = overcount_bounds(profile, np.asarray([threshold]), refine=num_sets == 1)
     overall_estimate = representative_estimates(
-        miss_num[:, 0],
-        miss_den[:, 0],
+        rows.misses[:, 0],
+        rows.references[:, 0],
         selection.weights,
         proxy_numerators=counts,
         proxy_denominators=profile.refs.astype(float),
@@ -688,38 +628,18 @@ def representative_simulate(
             high = min(high, high_clip)
         return Estimate(value, min(low, value), max(high, value), plan.confidence)
 
-    miss_estimates = [overall_estimate]
+    estimates = [overall_estimate]
     for column in (1, 2):
-        miss_estimates.append(scaled(weighted(miss_num[:, column], miss_den[:, column]), 1.0))
-    traffic_estimates = [
-        scaled(weighted(traffic[:, column], refs), None) for column in range(3)
-    ]
-
-    class_refs = miss_den.T @ selection.weights
-    class_fraction = class_refs / max(1.0, float((selection.weights * refs).sum()))
-    sides = []
+        estimates.append(
+            scaled(weighted(rows.misses[:, column], rows.references[:, column]), 1.0)
+        )
     for column in range(3):
-        side_references = (
-            total if column == 0 else int(round(class_fraction[column] * total))
-        )
-        sides.append(
-            SampledStats(
-                miss_ratio=miss_estimates[column].value,
-                memory_traffic_bytes=int(
-                    round(traffic_estimates[column].value * total)
-                ),
-                references=side_references,
-            )
-        )
-    report = SampledReport(
-        trace_name=trace.metadata.name,
-        references=total,
-        purge_interval=job.purge_interval,
-        overall=sides[0],
-        instruction=sides[1],
-        data=sides[2],
+        estimates.append(scaled(weighted(rows.traffic[:, column], rows.window_refs), None))
+
+    class_refs = rows.references.T @ selection.weights
+    class_fraction = class_refs / max(
+        1.0, float((selection.weights * rows.window_refs).sum())
     )
-    info = _representative_info(
-        plan, selection, total, tuple(miss_estimates) + tuple(traffic_estimates)
-    )
+    report = _sampled_report(trace, job, total, estimates, class_fraction)
+    info = _representative_info(plan, selection, total, tuple(estimates))
     return SampledValue(report, info)

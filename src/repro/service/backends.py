@@ -65,11 +65,13 @@ class BackendCrash(RuntimeError):
 
 
 class CellExecutionError(RuntimeError):
-    """A cell raised inside a fleet worker; carries the structured error."""
+    """A cell raised inside a fleet worker; carries the structured error
+    and whether the worker judged the exception transient."""
 
-    def __init__(self, error: CellError) -> None:
+    def __init__(self, error: CellError, transient: bool) -> None:
         super().__init__(str(error))
         self.error = error
+        self.transient = transient
 
 
 class InlineBackend:
@@ -304,7 +306,7 @@ class SubprocessFleetBackend:
         try:
             if not worker.alive:
                 raise asyncio.IncompleteReadError(b"", None)
-            status, payload = await worker.request(cell)
+            reply = await worker.request(cell)
         except asyncio.CancelledError:
             # The worker may still be busy with this cell; handing it on
             # would stall the next one, so kill it and respawn.
@@ -325,9 +327,10 @@ class SubprocessFleetBackend:
                 f"(exit code {worker.process.returncode})"
             ) from exc
         self._idle.put_nowait(worker)
-        if status == "ok":
-            return payload
-        raise CellExecutionError(payload)
+        if reply[0] == "ok":
+            return reply[1]
+        _, error, transient = reply
+        raise CellExecutionError(error, transient)
 
     async def _replace(self, worker: _FleetWorker, *, kill: bool = False) -> None:
         """Retire ``worker`` and, unless the fleet is closing, spawn its successor."""

@@ -695,6 +695,6 @@ class Scheduler:
         try:
             return run.result(), False
         except CellExecutionError as exc:
-            return exc.error, False
+            return exc.error, exc.transient
         except Exception as exc:
             return CellError.from_exception(exc), isinstance(exc, TRANSIENT_EXCEPTIONS)

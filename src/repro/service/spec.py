@@ -237,7 +237,6 @@ _INTERVAL_PLAN_FIELDS = dict(
     mode=str,
     warmup=str,
     warmup_fraction=float,
-    strata=int,
     seed=int,
     confidence=float,
     bootstrap=int,

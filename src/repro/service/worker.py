@@ -6,7 +6,9 @@ The protocol over stdin/stdout is deliberately dumb — length-prefixed
 pickle frames, one request in, one response out:
 
 * parent → worker: a pickled :class:`~repro.core.jobs.CampaignCell`;
-* worker → parent: ``("ok", CellResult)`` or ``("error", CellError)``.
+* worker → parent: ``("ok", CellResult)`` or
+  ``("error", CellError, transient)``, where ``transient`` says whether
+  the exception was one the scheduler retries (``OSError``).
 
 Frames are ``8-byte big-endian length + payload``.  EOF on stdin is the
 shutdown signal; the worker drains nothing and exits 0.  A worker that
@@ -90,7 +92,12 @@ def serve(stdin, stdout, runner) -> None:
         try:
             reply = ("ok", runner(cell))
         except Exception as exc:
-            reply = ("error", CellError.from_exception(exc))
+            # Imported here: the scheduler imports the backends, which
+            # import this module.
+            from .scheduler import TRANSIENT_EXCEPTIONS
+
+            transient = isinstance(exc, TRANSIENT_EXCEPTIONS)
+            reply = ("error", CellError.from_exception(exc), transient)
         write_frame(stdout, pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL))
 
 

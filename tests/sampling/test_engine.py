@@ -32,7 +32,7 @@ SIZES = (512, 2048, 8192)
 #: for the bootstrap to see real variance.
 PLAN_KW = dict(fraction=0.25, window=1000, seed=0)
 
-MODES = ("systematic", "random", "stratified")
+MODES = ("systematic", "random")
 WARMUPS = ("cold", "discard", "stitch")
 
 
@@ -248,6 +248,23 @@ class TestSampledSimulate:
         assert np.isnan(truth.instruction_miss_ratio)
         assert np.isnan(report.instruction_miss_ratio)
         assert not np.isnan(report.miss_ratio)
+
+    @pytest.mark.parametrize(
+        "plan",
+        [IntervalSampling(**PLAN_KW), RepresentativeSampling(window=1000, clusters=4)],
+        ids=["interval", "representative"],
+    )
+    def test_empty_trace_reports_nan(self, traces, plan):
+        # No sampled references: every ratio is unknown (NaN), every count 0.
+        trace = traces["ZGREP"][0:0]
+        value = run_sampled(trace, SimulateJob(size=1024), plan)
+        report = value.value
+        assert report.references == 0
+        for side in (report.overall, report.instruction, report.data):
+            assert np.isnan(side.miss_ratio)
+            assert side.memory_traffic_bytes == 0 and side.references == 0
+        assert value.info.units_sampled == 0
+        assert all(np.isnan(e.value) for e in value.info.estimates)
 
     def test_stitch_mode_covers_truth(self, traces):
         trace = traces["FGO1"]

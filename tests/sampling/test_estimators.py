@@ -1,4 +1,4 @@
-"""Tests for the stratified ratio estimator and its intervals."""
+"""Tests for the bootstrap ratio estimator and its intervals."""
 
 import numpy as np
 import pytest
@@ -47,7 +47,7 @@ class TestRatioEstimates:
             assert np.isnan(estimate.ci_low) and np.isnan(estimate.ci_high)
 
     def test_zero_reference_units_carry_no_weight(self):
-        # A zero-denominator stratum must not perturb the ratio.
+        # A zero-denominator unit must not perturb the ratio.
         numerators = np.array([10.0, 0.0])
         denominators = np.array([100.0, 0.0])
         [estimate] = ratio_estimates(numerators, denominators, bootstrap=0)
@@ -116,15 +116,12 @@ class TestRatioEstimates:
             assert estimate.ci_low <= estimate.value <= estimate.ci_high
 
     def test_single_unit_strata_pool_the_bootstrap(self):
-        # Four strata with one unit each: within-stratum resampling would
-        # return the identical sample every replicate and report a
-        # zero-width interval despite visible variance.
+        # Four units with visible variance: the bootstrap resamples all
+        # units together, so it must report a nonzero interval (never the
+        # identical sample every replicate).
         numerators = np.array([10.0, 30.0, 5.0, 45.0])
         denominators = np.full(4, 100.0)
-        strata = np.arange(4)
-        [estimate] = ratio_estimates(
-            numerators, denominators, strata=strata, seed=0
-        )
+        [estimate] = ratio_estimates(numerators, denominators, seed=0)
         assert estimate.half_width > 0.0
 
     def test_small_sample_factor_shrinks_toward_one(self):

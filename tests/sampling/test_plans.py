@@ -11,8 +11,6 @@ from repro.sampling import (
     select_intervals,
     select_set_classes,
 )
-from repro.sampling.plans import _kmeans_labels
-from repro.workloads import catalog
 
 
 class TestIntervalSamplingValidation:
@@ -31,6 +29,8 @@ class TestIntervalSamplingValidation:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             IntervalSampling(mode="clairvoyant")
+        with pytest.raises(ValueError, match="mode"):
+            IntervalSampling(mode="stratified")
 
     def test_unknown_warmup_rejected(self):
         with pytest.raises(ValueError, match="warmup"):
@@ -97,7 +97,7 @@ class TestSelectIntervals:
 
     def test_window_covering_trace_degenerates_to_whole_trace(self):
         selection = select_intervals(IntervalSampling(window=5000), 3000)
-        assert selection.intervals == (Interval(0, 3000, 0),)
+        assert selection.intervals == (Interval(0, 3000),)
         assert selection.expansion.tolist() == [1.0]
 
     def test_systematic_windows_are_distinct_and_ordered(self):
@@ -129,26 +129,6 @@ class TestSelectIntervals:
         starts = [iv.start for iv in first.intervals]
         assert starts == sorted(starts)
         assert len(set(starts)) == len(starts)
-
-    def test_stratified_requires_the_trace(self):
-        plan = IntervalSampling(mode="stratified", window=100)
-        with pytest.raises(ValueError, match="needs the trace"):
-            select_intervals(plan, 10_000)
-
-    def test_stratified_covers_phases_with_consistent_weights(self):
-        trace = catalog.generate("ZGREP", 12_000)
-        plan = IntervalSampling(
-            fraction=0.5, window=1000, mode="stratified", strata=3, seed=1
-        )
-        selection = select_intervals(plan, len(trace), trace)
-        assert len(selection.intervals) == 6
-        assert selection.candidates == 12
-        # Each interval's expansion is its stratum size over its draws,
-        # so the weights must sum back to the candidate count.
-        assert selection.expansion.sum() == pytest.approx(12)
-        assert len(selection.strata) == len(selection.intervals)
-        starts = [iv.start for iv in selection.intervals]
-        assert starts == sorted(starts)
 
     def test_windows_never_exceed_the_trace(self):
         plan = IntervalSampling(fraction=0.9, max_fraction=1.0, window=300)
@@ -203,33 +183,3 @@ class TestKmeans:
         # ...and this seeding isolates the outlier in its own cluster.
         outlier_label = labels[-1]
         assert (labels == outlier_label).sum() == 1
-
-    def test_labels_wrapper_matches(self):
-        features = np.random.default_rng(4).normal(size=(30, 2))
-        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
-        labels_only = _kmeans_labels(features, 4, rng_a)
-        labels, _ = kmeans(features, 4, rng_b)
-        assert (labels_only == labels).all()
-
-
-class TestStratifiedEdgeCases:
-    def test_more_strata_than_windows_degenerates_gracefully(self):
-        trace = catalog.generate("ZGREP", 2_500)
-        plan = IntervalSampling(
-            fraction=0.9, max_fraction=1.0, window=1000,
-            mode="stratified", strata=16, seed=0,
-        )
-        selection = select_intervals(plan, len(trace), trace)
-        assert 1 <= len(selection.intervals) <= 2
-        for interval in selection.intervals:
-            assert 0 <= interval.start < interval.stop <= len(trace)
-
-    def test_stratified_is_deterministic_per_seed(self):
-        trace = catalog.generate("FGO1", 12_000)
-        plan = IntervalSampling(
-            fraction=0.4, window=500, mode="stratified", strata=4, seed=9
-        )
-        first = select_intervals(plan, len(trace), trace)
-        again = select_intervals(plan, len(trace), trace)
-        assert first.intervals == again.intervals
-        assert np.array_equal(first.expansion, again.expansion)

@@ -20,6 +20,7 @@ from .helpers import (
     fake_run,
     hang_on_marker,
     linger_on_marker,
+    oserror_once_on_marker,
     slow_fake_run,
 )
 
@@ -495,3 +496,28 @@ class TestTimeoutAndRetry:
         assert retried[0]["error"] == "OSError" and retried[0]["attempt"] == 1
         finished = [e for e in state.events if e["event"] == "cell_finished"]
         assert finished[0]["attempts"] == 2
+
+    def test_transient_failure_in_a_fleet_cell_is_retried(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+        [cell] = make_cells(1)
+        cell = CampaignCell(f"FLAKY:{tmp_path / 'marker'}", cell.trace, cell.job)
+        backend = SubprocessFleetBackend(
+            workers=1, runner="tests.service.helpers:oserror_once_on_marker"
+        )
+
+        async def body():
+            scheduler = Scheduler(backend, cache=tmp_path / "cache")
+            await scheduler.start()
+            try:
+                return await asyncio.wait_for(run_to_done(scheduler, [cell]), 60)
+            finally:
+                await scheduler.close()
+
+        state = asyncio.run(body())
+        assert state.outcomes[0]["ok"] is True
+        retried = [e for e in state.events if e["event"] == "cell_retried"]
+        assert len(retried) == 1
+        assert retried[0]["error"] == "OSError" and retried[0]["attempt"] == 1
+        finished = [e for e in state.events if e["event"] == "cell_finished"]
+        assert finished[0]["attempts"] == 2
+        assert backend.respawns == 0

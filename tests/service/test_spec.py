@@ -200,6 +200,8 @@ class TestSamplingSpec:
             decode_sampling({"plan": "representative", "clusters": 0})
         with pytest.raises(SpecError, match="malformed"):
             decode_sampling({"plan": "interval", "fraction": 2.0})
+        with pytest.raises(SpecError, match="mode must be one of"):
+            decode_sampling({"plan": "interval", "mode": "stratified"})
 
     def test_summarize_sampling_of_exact_cell_is_empty(self):
         assert summarize_sampling(None) == {}

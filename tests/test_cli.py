@@ -227,6 +227,14 @@ class TestCampaignCommand:
                   "--length", "4000", "--remote", "http://127.0.0.1:1",
                   "--sampling", "0.1", "--target-error", "0.1"])
 
+    def test_unknown_sampling_mode_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--traces", "ZGREP", "--sizes", "512",
+                  "--length", "4000", "--no-cache",
+                  "--sampling", "0.1", "--sampling-mode", "stratified"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'stratified'" in capsys.readouterr().err
+
     def test_remote_sampled_campaign(self, capsys, tmp_path, monkeypatch):
         from repro.service import SERVICE_URL_ENV, BackgroundServer, Scheduler
         from repro.service.backends import InlineBackend
