@@ -20,11 +20,9 @@ is a process pool:
   bit-identical no matter how many workers ran it or in which order the
   cells finished.
 * Finished cells are memoized in an on-disk :class:`ResultCache` keyed by
-  a content hash of (trace identity, configuration, length, purge
-  interval) — see :func:`repro.core.jobs.cell_key`.  Re-running a
-  benchmark or experiment skips every already-simulated cell.  The cache
-  directory comes from ``REPRO_CACHE_DIR`` (or the ``cache=`` argument);
-  with neither set, caching is off.
+  :func:`repro.core.jobs.cell_key`, so a re-run skips every cell already
+  simulated.  Its directory comes from ``cache=`` or ``REPRO_CACHE_DIR``;
+  with neither, caching is off.  A failed cache write keeps the result.
 * Large traces are best shipped as ``TraceSpec.file`` cells pointing at a
   version-2 ``.rtrc`` file: each worker memory-maps the array sections
   read-only (:func:`repro.trace.io.read_binary_trace` with ``mmap=True``),
@@ -58,17 +56,13 @@ therefore degrades gracefully instead of failing all-or-nothing:
 * **Observability** — results are collected as they complete, so the
   ``progress`` callback genuinely streams (still in submission order),
   and every lifecycle step can be appended to a JSONL event log
-  (:class:`EventLog`, ``events=`` / ``REPRO_EVENT_LOG``):
-  ``campaign_started``, ``trace_store_write`` / ``trace_store_hit``
-  (shared trace-store priming, see below), ``cell_finished``,
-  ``cell_retried``, ``cell_failed``, ``campaign_finished``.
+  (:class:`EventLog`, ``events=`` / ``REPRO_EVENT_LOG``); the schema is
+  in ``docs/campaign.md``.
 * **Shared trace store** — with ``REPRO_TRACE_STORE=<dir>`` (or
-  ``--trace-store`` on the CLI) the parent process generates every
-  distinct catalog trace referenced by the pending cells exactly once,
-  stores it content-addressed as a mappable ``.rtrc`` file
-  (:class:`~repro.trace.store.TraceStore`), and the workers memory-map
-  that file instead of regenerating it — N cells over one workload cost
-  one generation.
+  ``--trace-store`` on the CLI) the parent stores every distinct catalog
+  trace of the pending cells once
+  (:class:`~repro.trace.store.TraceStore`) and the workers memory-map it:
+  N cells over one workload cost one generation.
 
 Every executed cell is timed; :meth:`CampaignResult.summary` reports wall
 time, references/second, and failure/retry counts per campaign, and
@@ -81,13 +75,13 @@ import functools
 import json
 import os
 import pickle
-import tempfile
 import time
 from collections.abc import Awaitable, Callable, Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 from .core.jobs import CampaignCell, CellError, CellResult, cell_key, run_cell
+from .store import ContentStore
 
 __all__ = [
     "CellOutcome",
@@ -117,8 +111,6 @@ DEFAULT_RETRIES = 2
 #: Default backoff base in seconds (attempt n sleeps ``base * 2**(n-1)``).
 DEFAULT_BACKOFF = 0.1
 
-_MISS = object()
-
 
 def worker_count(workers: int | None = None) -> int:
     """Resolve the campaign worker count.
@@ -140,64 +132,24 @@ def worker_count(workers: int | None = None) -> int:
     return max(1, workers)
 
 
-class ResultCache:
-    """On-disk memo of finished campaign cells.
-
-    Each entry is one pickle file named by the cell's content hash, in a
-    two-level directory layout (``ab/abcdef....pkl``) to keep directories
-    small.  Writes are atomic (write-to-temp + rename), so concurrent
-    campaigns sharing a cache directory never observe torn entries; a
-    corrupt or unreadable entry is treated as a miss *and deleted*, so
-    the owning cell simply rebuilds it — the same policy the trace store
-    applies to its ``.rtrc`` files, and what lets many clients share one
-    ``REPRO_CACHE_DIR`` without a bad entry ever becoming fatal.
+class ResultCache(ContentStore):
+    """On-disk memo of finished campaign cells: a
+    :class:`~repro.store.ContentStore` of pickled :class:`CellResult`
+    files (``ab/abcdef....pkl``) keyed by :func:`~repro.core.jobs.cell_key`.
     """
 
     def __init__(self, directory: str | Path) -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        super().__init__(directory, ".pkl")
 
-    def _path(self, key: str) -> Path:
-        return self.directory / key[:2] / f"{key}.pkl"
-
-    def get(self, key: str):
-        """The cached :class:`CellResult` for ``key``, or the miss sentinel."""
-        path = self._path(key)
-        try:
-            with path.open("rb") as handle:
-                return pickle.load(handle)
-        except FileNotFoundError:
-            return _MISS
-        except Exception:
-            # Any unreadable entry — torn, truncated, or bytes that merely
-            # resemble a pickle stream — is a miss, never a crash.  Remove
-            # the wreckage so the rebuilt result replaces it (best-effort:
-            # a concurrent rebuilder may already have).
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return _MISS
+    def get(self, key: str) -> CellResult | None:
+        """The cached :class:`CellResult` for ``key``, or None on a miss."""
+        return self.read(key, lambda path: pickle.loads(path.read_bytes()))
 
     def put(self, key: str, result: CellResult) -> None:
         """Store one finished cell (atomically)."""
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
-
-    def __len__(self) -> int:
-        """Number of cached entries."""
-        return sum(1 for _ in self.directory.glob("*/*.pkl"))
+        self.write(
+            key, lambda handle: pickle.dump(result, handle, pickle.HIGHEST_PROTOCOL)
+        )
 
 
 class EventLog:
@@ -569,18 +521,14 @@ class _Recorder:
 
 
 def _prime_trace_store(pending: list[CampaignCell], log: EventLog | None) -> None:
-    """Generate each distinct catalog trace once, before the fan-out.
+    """Store each distinct catalog trace once, before the fan-out.
 
-    With ``REPRO_TRACE_STORE`` set, N cells over one workload must cost one
-    generation, not N: the parent resolves every distinct catalog
-    ``(name, length)`` referenced by the pending cells through the shared
-    :class:`~repro.trace.store.TraceStore` up front, so by the time workers
-    build their traces every store lookup is a hit and they merely
-    memory-map the parent's file.  Emits one ``trace_store_write`` (freshly
-    generated) or ``trace_store_hit`` (already stored) event per trace.
-
-    Best-effort: a failure here (unwritable store, bad workload) is left
-    for the owning cell to report as a normal cell failure.
+    With ``REPRO_TRACE_STORE`` set, the parent resolves every distinct
+    catalog ``(name, length)`` of the pending cells through the shared
+    :class:`~repro.trace.store.TraceStore` up front, so every worker
+    lookup is a hit that memory-maps the parent's file.  Emits one
+    ``trace_store_write``, ``trace_store_hit`` or ``trace_store_error``
+    event per trace.  Best-effort: a failure here costs no cell anything.
     """
     from .trace.store import TraceStore
 
@@ -588,7 +536,7 @@ def _prime_trace_store(pending: list[CampaignCell], log: EventLog | None) -> Non
     if store is None:
         return
     from .workloads import catalog
-    from .workloads.generator import trace_identity
+    from .workloads.generator import SyntheticWorkload, trace_identity
 
     needed: dict[tuple[str, int | None], None] = {}
     for cell in pending:
@@ -599,23 +547,29 @@ def _prime_trace_store(pending: list[CampaignCell], log: EventLog | None) -> Non
             for member in spec.members:
                 needed.setdefault((member, spec.length), None)
     for name, length in needed:
+        started = time.perf_counter()
         try:
+            params = catalog.get(name)
             resolved = length if length is not None else catalog.default_length(name)
-            key = store.key_for(trace_identity(catalog.get(name), resolved))
-            hit = store.path_for(key).exists()
-            started = time.perf_counter()
-            catalog.generate(name, length)
+            identity = trace_identity(params, resolved)
+            _trace, hit, error = store.resolve(
+                identity,
+                functools.partial(SyntheticWorkload(params).generate, resolved),
+            )
         except Exception as exc:
+            error = exc
+        if error is not None:
             if log is not None:
                 log.emit(
                     "trace_store_error",
                     name=name,
                     length=length,
-                    error=type(exc).__name__,
-                    message=str(exc),
+                    error=type(error).__name__,
+                    message=str(error),
                 )
             continue
         if log is not None:
+            key = store.key_for(identity)
             log.emit(
                 "trace_store_hit" if hit else "trace_store_write",
                 name=name,
@@ -829,7 +783,7 @@ def run_campaign(
 
     started = time.perf_counter()
     keys = [cell_key(cell) for cell in cells]
-    hits = [store.get(key) if store is not None else _MISS for key in keys]
+    hits = [store.get(key) if store is not None else None for key in keys]
     pending = [i for i, hit in enumerate(hits) if not isinstance(hit, CellResult)]
     fallback = None
     if count == 1 or len(pending) <= 1:

@@ -725,7 +725,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server = ServiceServer(scheduler, host, port)
         await server.start()
         cache = (
-            scheduler.cache.directory if scheduler.cache is not None else "disabled"
+            scheduler.cache.root if scheduler.cache is not None else "disabled"
         )
         print(f"campaign service listening on {server.url} "
               f"(backend={backend_name} capacity={backend.capacity} "

@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
+import os
 import time
 import traceback as traceback_module
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..store import BoundedMemo, content_key
 from ..trace.record import AccessKind
 from ..trace.stream import Trace
 from .address import CacheGeometry
@@ -186,8 +187,17 @@ class TraceSpec:
         )
 
     def build(self) -> Trace:
-        """Materialize the trace (in whatever process this runs in)."""
-        return _build_trace(self)
+        """Materialize the trace (memoized per process; a file under its
+        size and mtime too, so a file rewritten in place is read again)."""
+        if self.kind == "catalog":
+            from ..workloads import catalog
+
+            return catalog.generate(self.name, self.length)
+        key = self
+        if self.kind == "file":
+            stat = os.stat(self.path)
+            key = (self, stat.st_size, stat.st_mtime_ns)
+        return _TRACES.get_or_build(key, functools.partial(_build_trace, self))
 
     def identity(self) -> dict:
         """JSON-able identity used for cache keying."""
@@ -202,22 +212,19 @@ class TraceSpec:
                 digest.update(blob)
             out["content"] = digest.hexdigest()
         elif self.kind == "file":
-            from pathlib import Path
-
             out["path"] = self.path
             # mmap is a transport choice, not an identity: mapped and eager
             # loads of the same file yield the same trace.
-            out["bytes"] = Path(self.path).stat().st_size
+            out["bytes"] = os.stat(self.path).st_size
         return out
 
 
-@functools.lru_cache(maxsize=64)
-def _build_trace(spec: TraceSpec) -> Trace:
-    """Build (and memoize per process) the trace a spec describes."""
-    if spec.kind == "catalog":
-        from ..workloads import catalog
+#: Per-process memo of built mix, inline and file traces.
+_TRACES = BoundedMemo(64)
 
-        return catalog.generate(spec.name, spec.length)
+
+def _build_trace(spec: TraceSpec) -> Trace:
+    """Build the trace a non-catalog spec describes."""
     if spec.kind == "mix":
         from ..trace.filters import interleave_round_robin
         from ..workloads import catalog
@@ -482,13 +489,13 @@ class CellError:
 
 def cell_key(cell: CampaignCell) -> str:
     """Stable content hash of a cell (trace identity + configuration)."""
-    document = {
-        "version": CACHE_SCHEMA_VERSION,
-        "trace": cell.trace.identity(),
-        "work": cell.job.identity(),
-    }
-    canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return content_key(
+        {
+            "version": CACHE_SCHEMA_VERSION,
+            "trace": cell.trace.identity(),
+            "work": cell.job.identity(),
+        }
+    )
 
 
 def run_cell(cell: CampaignCell) -> CellResult:

@@ -185,7 +185,7 @@ def lru_demand_replay(
             and cache.write_policy.allocate_on_write
             and not any(cache._sets)
         ):
-            bundle = compiled.memo(
+            bundle = compiled.memo.get_or_build(
                 (
                     "replay",
                     cut,

@@ -469,7 +469,7 @@ def lru_miss_ratio_curve(
     # repeated sweeps over one trace do the distance pass only once.
     compiled = trace.compiled(line_size)
     kind_key = None if kinds is None else tuple(sorted(int(k) for k in kinds))
-    profile = compiled.memo(
+    profile = compiled.memo.get_or_build(
         ("stack-profile", kind_key, purge_interval),
         lambda: _curve_profile(compiled, kinds, purge_interval),
     )

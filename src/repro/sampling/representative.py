@@ -146,7 +146,7 @@ def window_profile(
     compiled = trace.compiled(line_size)
     kind_key = None if kinds is None else tuple(sorted(int(k) for k in kinds))
     key = ("repr-windows", window, kind_key, purge_interval, num_sets)
-    return compiled.memo(
+    return compiled.memo.get_or_build(
         key,
         lambda: _build_profile(
             compiled, len(trace), window, kinds, purge_interval, num_sets
@@ -322,7 +322,7 @@ def window_signatures(trace: Trace, line_size: int, window: int) -> np.ndarray:
     profile.
     """
     compiled = trace.compiled(line_size)
-    return compiled.memo(
+    return compiled.memo.get_or_build(
         ("repr-signatures", window), lambda: _build_signatures(trace, line_size, window)
     )
 
@@ -388,7 +388,9 @@ def select_representatives(
         )
     compiled = trace.compiled(line_size)
     key = ("repr-selection", plan.window, plan.clusters, plan.seed, plan.iterations)
-    return compiled.memo(key, lambda: _build_selection(trace, line_size, plan))
+    return compiled.memo.get_or_build(
+        key, lambda: _build_selection(trace, line_size, plan)
+    )
 
 
 def _build_selection(

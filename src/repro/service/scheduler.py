@@ -3,9 +3,8 @@
 This is the service-tier answer to the paper's methodology point — that
 conclusions require *many* workloads — at many-users scale: overlapping
 campaigns from independent clients must not multiply work.  The
-scheduler achieves that with three layers of dedupe, all keyed by the
-same content hashes the library tier already uses
-(:func:`repro.core.jobs.cell_key`):
+scheduler dedupes cells by their content key
+(:func:`repro.core.jobs.cell_key`) in three layers:
 
 1. **Result cache** — a cell whose key is in the shared on-disk
    :class:`~repro.campaign.ResultCache` is served without executing
@@ -14,12 +13,11 @@ same content hashes the library tier already uses
    in this scheduler is awaited, not re-submitted; every waiting
    campaign receives the one result (and failures propagate to all of
    them).
-3. **Cross-process claims** — with a shared cache directory, schedulers
-   in different processes coordinate through atomic ``.claim`` files
-   (``O_CREAT | O_EXCL``, the trace store's discipline): the first
-   scheduler to claim a key runs it, the others poll the cache until the
-   result lands.  A claim older than ``claim_timeout`` is presumed
-   orphaned (its owner crashed) and is stolen.
+3. **Cross-process claims** — schedulers sharing a cache directory take
+   a ``.claim`` entry per key beside it
+   (:meth:`repro.store.ContentStore.try_claim`): the first to claim runs
+   the cell, the others poll the cache until the result lands, and a
+   claim older than ``claim_timeout`` is presumed orphaned and stolen.
 
 Campaigns are admitted through the
 :class:`~repro.service.queue.FairShareQueue` (priorities, per-user
@@ -31,17 +29,13 @@ cell, enforces a per-cell timeout — the ``REPRO_RETRIES``,
 ``REPRO_RETRY_BACKOFF`` and ``REPRO_CELL_TIMEOUT`` settings of the
 campaign runner, which drives local campaigns through this same cell
 path (:meth:`Scheduler.obtain`).  Every campaign gets its own
-replayable JSONL-schema event stream — the exact
-:mod:`repro.campaign` event vocabulary (``campaign_started``,
-``cell_finished``, ``cell_failed``, ``campaign_finished``) plus
-``campaign_queued`` and a ``source`` field on ``cell_finished`` and
-``cell_failed`` saying
-*how* the cell was satisfied: ``"run"`` (this campaign executed it),
-``"cache"`` (served from the result cache), or ``"shared"`` (joined
-another campaign's in-flight execution).  Counting ``cell_finished``
-events with ``source == "run"`` across every campaign of every
-scheduler sharing a cache directory therefore counts *actual
-simulations* — the number the dedupe tests pin.
+replayable event stream in the :mod:`repro.campaign` event vocabulary,
+plus ``campaign_queued`` and a ``source`` field on ``cell_finished`` and
+``cell_failed`` saying *how* the cell was satisfied: ``"run"`` (this
+campaign executed it), ``"cache"`` (served from the result cache), or
+``"shared"`` (joined another campaign's in-flight execution).  Counting
+``source == "run"`` across every scheduler sharing a cache directory
+therefore counts *actual simulations* — the number the dedupe tests pin.
 """
 
 from __future__ import annotations
@@ -63,10 +57,10 @@ from ..campaign import (
     RETRIES_ENV,
     EventLog,
     ResultCache,
-    _MISS,
     _resolve_cache,
 )
 from ..core.jobs import CampaignCell, CellError, CellResult, cell_key
+from ..store import ContentStore
 from .backends import BackendCrash, CellExecutionError
 from .queue import FairShareQueue, QueueEntry, QuotaExceeded
 from .spec import summarize_sampling, summarize_value
@@ -159,52 +153,6 @@ def cell_event(
         "attempts": attempts,
         **summarize_sampling(payload.sampling),
     }
-
-
-class _CellClaims:
-    """Atomic per-key claim files under the shared result-cache directory.
-
-    ``try_claim`` either creates ``<dir>/<k:2>/<key>.claim`` exclusively
-    (we run the cell) or reports the age of the existing claim (someone
-    else is running it — poll the cache).  Claims are advisory: a stale
-    one is deleted and re-taken, so a crashed owner delays a key by at
-    most ``claim_timeout`` seconds, never forever.
-    """
-
-    def __init__(self, directory: Path, timeout: float) -> None:
-        self.directory = Path(directory)
-        self.timeout = timeout
-
-    def _path(self, key: str) -> Path:
-        return self.directory / key[:2] / f"{key}.claim"
-
-    def try_claim(self, key: str) -> bool:
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        while True:
-            try:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                try:
-                    age = time.time() - path.stat().st_mtime
-                except OSError:
-                    continue  # released between open and stat: race again
-                if age <= self.timeout:
-                    return False
-                try:  # orphaned claim: steal it
-                    path.unlink()
-                except OSError:
-                    return False
-            else:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(f"{os.getpid()} {time.time():.3f}\n")
-                return True
-
-    def release(self, key: str) -> None:
-        try:
-            self._path(key).unlink()
-        except OSError:
-            pass
 
 
 @dataclass
@@ -311,15 +259,14 @@ class Scheduler:
         self.poll = (
             poll if poll is not None else _env_number(POLL_ENV, DEFAULT_POLL)
         )
-        claim_timeout = (
+        self.claim_timeout = (
             claim_timeout
             if claim_timeout is not None
             else _env_number(CLAIM_TIMEOUT_ENV, DEFAULT_CLAIM_TIMEOUT)
         )
+        # ``<key>.claim`` files beside the cache's ``<key>.pkl`` entries.
         self.claims = (
-            _CellClaims(self.cache.directory, claim_timeout)
-            if self.cache is not None
-            else None
+            ContentStore(self.cache.root, ".claim") if self.cache is not None else None
         )
         self.retries = _env_number(RETRIES_ENV, DEFAULT_RETRIES, int)
         self.backoff = _env_number(BACKOFF_ENV, DEFAULT_BACKOFF)
@@ -450,7 +397,7 @@ class Scheduler:
             "campaigns": len(self.campaigns),
             "queued": len(self.queue),
             "active": self._active,
-            "cache": str(self.cache.directory) if self.cache is not None else None,
+            "cache": str(self.cache.root) if self.cache is not None else None,
             "uptime_seconds": time.time() - self.started_at,
         }
 
@@ -611,12 +558,14 @@ class Scheduler:
         while True:
             if self.cache is not None:
                 hit = self.cache.get(key)
-                if hit is not _MISS and isinstance(hit, CellResult):
+                if isinstance(hit, CellResult):
                     return "cache", hit, 0
             future = self._inflight.get(key)
             if future is not None:
                 return "shared", await asyncio.shield(future), 0
-            if self.claims is not None and not self.claims.try_claim(key):
+            if self.claims is not None and not self.claims.try_claim(
+                key, self.claim_timeout
+            ):
                 # Another process owns this key: poll until its result
                 # lands in the shared cache (or the claim goes stale).
                 await asyncio.sleep(self.poll)
@@ -650,7 +599,15 @@ class Scheduler:
                 )
                 await asyncio.sleep(pause)
             if self.cache is not None and isinstance(payload, CellResult):
-                self.cache.put(key, payload)
+                try:
+                    self.cache.put(key, payload)
+                except Exception as exc:
+                    # The result is good; only its cached copy is lost.
+                    emit(
+                        "cache_write_failed",
+                        error=type(exc).__name__,
+                        message=str(exc),
+                    )
         except BaseException as exc:
             if not future.done():
                 future.set_exception(exc)

@@ -4,40 +4,26 @@ A campaign fans N configuration cells over one workload across worker
 processes; without coordination every worker regenerates the same trace.
 The :class:`TraceStore` turns that into *one* generation per distinct
 (workload, length): the first resolver writes the trace as a version-2
-``.rtrc`` file under a content hash of the trace's identity, and every
-later resolver — in any process — memory-maps that file read-only
-(:func:`repro.trace.io.read_binary_trace` with ``mmap=True``), so all
-workers share one physical copy through the page cache.
+``.rtrc`` file keyed by its identity document (for catalog traces,
+:func:`repro.workloads.generator.trace_identity`), and every later
+resolver, in any process, memory-maps that file read-only, so all
+workers share one physical copy through the page cache.  Anything that
+changes the emitted stream must be part of the identity.
 
-The store is generic: keys are caller-supplied JSON-able *identity*
-documents (the catalog uses the workload parameters + length + generator
-version, see :func:`repro.workloads.generator.trace_identity`), hashed
-canonically.  Anything that changes the emitted stream must be part of
-the identity; the store itself never inspects trace content.
-
-Concurrency and corruption are handled the way the campaign result cache
-handles them:
-
-* writes are atomic (temp file + ``os.replace``), so concurrent writers
-  racing on one key each produce a complete file and the last rename wins
-  — both wrote identical bytes, so nothing is lost;
-* an unreadable or truncated file is treated as absent and rebuilt in
-  place, never served and never fatal.
-
-Activate the store for campaign workers by exporting
+It is a :class:`~repro.store.ContentStore`, with its layout and its
+torn-entry and failed-write policy (``docs/campaign.md``, "On-disk
+store").  Activate it for campaign workers by exporting
 ``REPRO_TRACE_STORE=<directory>`` (or ``--trace-store`` on the campaign
 CLI); :meth:`TraceStore.from_env` is how resolvers discover it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
+import functools
 import os
-import tempfile
 from collections.abc import Callable
-from pathlib import Path
 
+from ..store import ContentStore, content_key
 from .io import read_binary_trace, write_binary_trace
 from .stream import Trace
 
@@ -47,16 +33,11 @@ __all__ = ["TRACE_STORE_ENV", "TraceStore"]
 TRACE_STORE_ENV = "REPRO_TRACE_STORE"
 
 
-class TraceStore:
-    """Write-once, content-addressed directory of ``.rtrc`` trace files.
+class TraceStore(ContentStore):
+    """Write-once, content-addressed directory of ``.rtrc`` trace files."""
 
-    Args:
-        root: the store directory (created on first use).
-    """
-
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+    def __init__(self, root) -> None:
+        super().__init__(root, ".rtrc")
 
     @classmethod
     def from_env(cls) -> "TraceStore | None":
@@ -64,15 +45,7 @@ class TraceStore:
         root = os.environ.get(TRACE_STORE_ENV)
         return cls(root) if root else None
 
-    @staticmethod
-    def key_for(identity: dict) -> str:
-        """Stable content hash of a JSON-able identity document."""
-        canonical = json.dumps(identity, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    def path_for(self, key: str) -> Path:
-        """Where the trace for ``key`` lives (whether or not it exists)."""
-        return self.root / key[:2] / f"{key}.rtrc"
+    key_for = staticmethod(content_key)
 
     def contains(self, identity: dict) -> bool:
         """Whether a (possibly unvalidated) file exists for ``identity``."""
@@ -85,55 +58,36 @@ class TraceStore:
         *,
         mmap: bool = True,
     ) -> tuple[Trace, bool]:
-        """Resolve ``identity`` to a trace, generating it at most once.
+        """Resolve ``identity`` to a trace, calling ``builder()`` only on a miss.
 
-        Args:
-            identity: JSON-able description of the trace content; equal
-                documents resolve to the same stored file.
-            builder: zero-argument callable producing the trace on a miss.
-            mmap: on a hit, borrow read-only views of the stored file
-                instead of copying the arrays (requires a real file path,
-                which the store always has).
-
-        Returns:
-            ``(trace, hit)`` — ``hit`` is True when the trace was served
-            from an existing store file, False when this call built (and
-            stored) it.
+        Returns ``(trace, hit)``: ``hit`` is True when the trace was served
+        from an existing store file, False when this call built it.  With
+        ``mmap`` the trace borrows read-only views of the stored file
+        instead of copying it.  A store that cannot be written still
+        returns the built trace.
         """
+        trace, hit, _error = self.resolve(identity, builder, mmap=mmap)
+        return trace, hit
+
+    def resolve(
+        self, identity: dict, builder: Callable[[], Trace], *, mmap: bool = True
+    ) -> tuple[Trace, bool, OSError | None]:
+        """:meth:`get_or_create`'s ``(trace, hit)`` plus the ``OSError``
+        that kept a built trace out of the store (None if it was stored)."""
         key = self.key_for(identity)
-        path = self.path_for(key)
-        if path.exists():
-            try:
-                return read_binary_trace(path, mmap=mmap), True
-            except (ValueError, OSError):
-                pass  # torn or corrupt: fall through and rebuild
+        trace = self.read(key, functools.partial(read_binary_trace, mmap=mmap))
+        if trace is not None:
+            return trace, True, None
         trace = builder()
-        self._write_atomic(path, trace)
-        # Serve the freshly mapped file rather than the in-memory arrays,
-        # so the builder's pages can be reclaimed and every consumer of
-        # this key — including the builder's own process — shares the
-        # same on-disk copy.
+        try:
+            path = self.write(key, functools.partial(write_binary_trace, trace))
+        except OSError as exc:
+            return trace, False, exc
+        # Serve the mapped file, not the built arrays: every process using
+        # this key, the builder's included, then shares one on-disk copy.
         if mmap:
             try:
-                return read_binary_trace(path, mmap=True), False
+                return read_binary_trace(path, mmap=True), False, None
             except (ValueError, OSError):
                 pass  # someone replaced it under us: the built trace is fine
-        return trace, False
-
-    def _write_atomic(self, path: Path, trace: Trace) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                write_binary_trace(trace, handle)
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
-
-    def __len__(self) -> int:
-        """Number of stored traces."""
-        return sum(1 for _ in self.root.glob("*/*.rtrc"))
+        return trace, False, None

@@ -8,12 +8,12 @@ in :mod:`repro.trace.filters` return new traces.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ..store import BoundedMemo
 from .record import AccessKind, MemoryAccess
 
 __all__ = ["TraceMetadata", "Trace", "CompiledTrace"]
@@ -23,8 +23,6 @@ _COMPILED_CACHE_ENTRIES = 4
 
 #: Derived artifacts memoized per compiled view (replay bundles, profiles).
 _DERIVED_CACHE_ENTRIES = 8
-
-_MISSING = object()
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,9 +62,13 @@ class CompiledTrace:
         positions: int64 array of original trace indices, parallel to
             ``lines`` — the purge clock counts *trace* references, so
             consumers map interval boundaries through this array.
+        memo: a :class:`~repro.store.BoundedMemo` of artifacts derived
+            from this view (stack distances, replay bundles, profiles),
+            keyed by their few hashable parameters, so sweeping one trace
+            across many cache sizes re-derives nothing.
     """
 
-    __slots__ = ("line_size", "lines", "kinds", "positions", "_lists", "_memo")
+    __slots__ = ("line_size", "lines", "kinds", "positions", "_lists", "memo")
 
     def __init__(self, trace: "Trace", line_size: int) -> None:
         if line_size <= 0 or line_size & (line_size - 1):
@@ -98,7 +100,7 @@ class CompiledTrace:
         self.kinds = kinds
         self.positions = positions
         self._lists: tuple[list[int], list[int]] | None = None
-        self._memo: OrderedDict = OrderedDict()
+        self.memo = BoundedMemo(_DERIVED_CACHE_ENTRIES)
 
     def __len__(self) -> int:
         """Number of line references (>= the trace's access count)."""
@@ -114,28 +116,6 @@ class CompiledTrace:
         if self._lists is None:
             self._lists = (self.kinds.tolist(), self.lines.tolist())
         return self._lists
-
-    def memo(self, key, build):
-        """Bounded cache for artifacts derived from this view.
-
-        The vectorized kernels precompute whole-stream arrays (stack
-        distances, per-set sort orders, residency tables) that depend only
-        on the compiled view plus a few hashable parameters.  Sweeping one
-        trace across many cache sizes re-derives nothing: the first call
-        per ``key`` runs ``build()``, later calls return the cached value.
-        Bounded LRU, like the compiled-view cache itself, so a long
-        campaign over many organizations cannot pin unbounded state.
-        """
-        cache = self._memo
-        value = cache.get(key, _MISSING)
-        if value is not _MISSING:
-            cache.move_to_end(key)
-            return value
-        value = build()
-        cache[key] = value
-        while len(cache) > _DERIVED_CACHE_ENTRIES:
-            cache.popitem(last=False)
-        return value
 
     def cut(self, length: int) -> int:
         """Number of line references belonging to the first ``length``
@@ -202,7 +182,7 @@ class Trace(Sequence[MemoryAccess]):
         self._addresses = addresses
         self._sizes = sizes
         self.metadata = metadata or TraceMetadata()
-        self._compiled: OrderedDict[int, CompiledTrace] = OrderedDict()
+        self._compiled = BoundedMemo(_COMPILED_CACHE_ENTRIES)
         self._raw_lists: tuple[list[int], list[int], list[int]] | None = None
 
     # -- construction ------------------------------------------------------
@@ -284,15 +264,9 @@ class Trace(Sequence[MemoryAccess]):
         Raises:
             ValueError: if ``line_size`` is not a positive power of two.
         """
-        view = self._compiled.get(line_size)
-        if view is not None:
-            self._compiled.move_to_end(line_size)
-            return view
-        view = CompiledTrace(self, line_size)
-        self._compiled[line_size] = view
-        while len(self._compiled) > _COMPILED_CACHE_ENTRIES:
-            self._compiled.popitem(last=False)
-        return view
+        return self._compiled.get_or_build(
+            line_size, lambda: CompiledTrace(self, line_size)
+        )
 
     def raw_lists(self) -> tuple[list[int], list[int], list[int]]:
         """``(kinds, addresses, sizes)`` as plain Python lists (memoized).

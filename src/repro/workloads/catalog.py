@@ -22,8 +22,9 @@ separately as in Table 1.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import functools
 
+from ..store import BoundedMemo
 from ..trace.store import TraceStore
 from ..trace.stream import Trace
 from .architectures import make_parameters, profile
@@ -442,8 +443,7 @@ def default_length(name: str) -> int:
 #: In-process memo of generated traces, keyed by *normalized* (name,
 #: length) — ``length=None`` is resolved to the paper's default first, so
 #: ``generate("FGO1")`` and ``generate("FGO1", 250_000)`` share one entry.
-_MEMO: OrderedDict[tuple[str, int], Trace] = OrderedDict()
-_MEMO_MAX = 128
+_MEMO = BoundedMemo(128)
 
 
 def generate(name: str, length: int | None = None) -> Trace:
@@ -468,23 +468,16 @@ def generate(name: str, length: int | None = None) -> Trace:
     params = get(name)
     if length is None:
         length = default_length(name)
-    key = (name, length)
-    cached = _MEMO.get(key)
-    if cached is not None:
-        _MEMO.move_to_end(key)
-        return cached
+    return _MEMO.get_or_build((name, length), lambda: _obtain(params, length))
+
+
+def _obtain(params: WorkloadParameters, length: int) -> Trace:
+    """A fresh trace of ``params``, through the shared store if one is set."""
+    build = functools.partial(SyntheticWorkload(params).generate, length)
     store = TraceStore.from_env()
     if store is None:
-        trace = SyntheticWorkload(params).generate(length)
-    else:
-        trace, _hit = store.get_or_create(
-            trace_identity(params, length),
-            lambda: SyntheticWorkload(params).generate(length),
-        )
-    _MEMO[key] = trace
-    while len(_MEMO) > _MEMO_MAX:
-        _MEMO.popitem(last=False)
-    return trace
+        return build()
+    return store.get_or_create(trace_identity(params, length), build)[0]
 
 
 def groups() -> dict[str, list[str]]:

@@ -2,8 +2,11 @@
 three dedupe layers (cache, in-flight sharing, cross-scheduler claims)."""
 
 import asyncio
+import errno
 
 import pytest
+
+from repro.campaign import ResultCache
 
 from repro.core.jobs import CampaignCell, SimulateJob, StackSweepJob, TraceSpec
 from repro.service.backends import (
@@ -119,6 +122,34 @@ class TestLifecycle:
         failed = state.outcomes[1]
         assert failed["ok"] is False and failed["error"] == "ValueError"
         assert any(e["event"] == "cell_failed" for e in state.events)
+
+    def test_failed_cache_write_keeps_the_campaign_done(
+        self, tmp_path, monkeypatch
+    ):
+        def full_disk(self, key, result):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(ResultCache, "put", full_disk)
+
+        async def body():
+            scheduler = Scheduler(
+                InlineBackend(runner=fake_run), cache=tmp_path / "cache"
+            )
+            await scheduler.start()
+            try:
+                state = await run_to_done(scheduler, make_cells(2))
+            finally:
+                await scheduler.close()
+            return state
+
+        state = asyncio.run(body())
+        assert state.status == "done"
+        assert state.counts()["simulated"] == 2 and state.counts()["failed"] == 0
+        failed = [e for e in state.events if e["event"] == "cache_write_failed"]
+        assert [(e["label"], e["index"], e["error"]) for e in failed] == [
+            ("cell-0", 0, "OSError"), ("cell-1", 1, "OSError")
+        ]
+        assert all(e["key"] == o["key"] for e, o in zip(failed, state.outcomes))
 
     def test_backend_crash_becomes_a_failed_outcome(self, tmp_path):
         class CrashingBackend:

@@ -200,6 +200,24 @@ class TestJobs:
         assert by_label["file/sim"] == SIM_JOB.run(trace)
         assert np.allclose(by_label["file/sweep"], SWEEP_JOB.run(trace))
 
+    def test_rewritten_trace_file_is_read_again(self, tmp_path):
+        # The per-process trace memo must not serve the old contents of
+        # a file rewritten in place, nor cache them under the new key.
+        from repro.trace import save_trace
+
+        path = tmp_path / "t.rtrc"
+        cells = [CampaignCell("file/sim", TraceSpec.file(path), SIM_JOB)]
+        save_trace(catalog.generate("VCCOM", 5_000), path)
+        first = run_campaign(cells, workers=1, cache=tmp_path / "cache")
+        assert first.outcomes[0].references == 5_000
+        rewritten = catalog.generate("FGO1", 8_000)
+        save_trace(rewritten, path)
+        second = run_campaign(cells, workers=1, cache=tmp_path / "cache")
+        outcome = second.outcomes[0]
+        assert not outcome.cached and outcome.key != first.outcomes[0].key
+        assert outcome.references == 8_000
+        assert outcome.value == SIM_JOB.run(rewritten)
+
 
 class TestRunCampaign:
     def test_serial_equals_parallel_bit_identical(self):
@@ -271,7 +289,7 @@ class TestRunCampaign:
         store = ResultCache(tmp_path)
         run_campaign(cells, workers=1, cache=store)
         key = cell_key(cells[0])
-        path = store._path(key)
+        path = store.path_for(key)
         path.write_bytes(junk)
         result = run_campaign(cells, workers=1, cache=store)
         assert result.cached_cells == 0
@@ -286,7 +304,7 @@ class TestRunCampaign:
         store = ResultCache(tmp_path)
         run_campaign(cells, workers=1, cache=store)
         key = cell_key(cells[0])
-        path = store._path(key)
+        path = store.path_for(key)
         path.write_bytes(junk)
         store.get(key)  # the miss that notices the corruption
         assert not path.exists()
@@ -297,7 +315,7 @@ class TestRunCampaign:
         store = ResultCache(tmp_path)
         run_campaign(cells, workers=1, cache=store)
         key = cell_key(cells[0])
-        path = store._path(key)
+        path = store.path_for(key)
         path.write_bytes(path.read_bytes()[:-7])
         result = run_campaign(cells, workers=1, cache=store)
         assert result.cached_cells == 0

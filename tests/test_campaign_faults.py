@@ -8,6 +8,7 @@ serial fallback path recovers deterministically in the main process).
 No test relies on timing races.
 """
 
+import errno
 import json
 import multiprocessing
 import os
@@ -18,6 +19,7 @@ import pytest
 from repro.campaign import (
     CampaignError,
     EventLog,
+    ResultCache,
     run_campaign,
 )
 from repro.core.jobs import (
@@ -443,3 +445,33 @@ class TestEventLog:
             log.emit("custom_marker", note="still writable")
         lines = [json.loads(l) for l in path.read_text().splitlines()]
         assert lines[-1]["event"] == "custom_marker"
+
+
+class TestStoreWriteFailures:
+    def test_failed_cache_write_keeps_the_result(self, tmp_path, monkeypatch):
+        """A full disk under the result cache costs the cache entry, not
+        the cell: the result is returned, counted as run, and reported."""
+
+        def full_disk(self, key, result):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(ResultCache, "put", full_disk)
+        cells = make_cells(["a", "b"])
+        events = tmp_path / "events.jsonl"
+        result = run_campaign(
+            cells, workers=1, cache=tmp_path / "cache", events=events
+        )
+        assert not result.failures()
+        assert result.simulated_cells == 2 and result.cached_cells == 0
+        assert [o.value for o in result.outcomes] == [
+            run_cell(cell).value for cell in cells
+        ]
+        records = [json.loads(line) for line in events.read_text().splitlines()]
+        failed = [r for r in records if r["event"] == "cache_write_failed"]
+        assert [(r["label"], r["index"], r["key"]) for r in failed] == [
+            (cell.label, index, cell_key(cell)) for index, cell in enumerate(cells)
+        ]
+        assert all(r["error"] == "OSError" for r in failed)
+        assert all("No space left" in r["message"] for r in failed)
+        finished = [r for r in records if r["event"] == "cell_finished"]
+        assert len(finished) == 2 and not any(r["cached"] for r in finished)

@@ -1,10 +1,15 @@
 """Tests for the content-addressed trace store."""
 
+import errno
+import json
 import threading
 
 import numpy as np
 import pytest
 
+from repro.campaign import run_campaign
+from repro.core.jobs import CampaignCell, StackSweepJob, TraceSpec
+from repro.store import ContentStore
 from repro.trace import AccessKind
 from repro.trace.store import TRACE_STORE_ENV, TraceStore
 from repro.workloads import catalog
@@ -180,3 +185,35 @@ class TestCatalogMemo:
             assert explicit is implicit
         finally:
             catalog._MEMO.clear()
+
+
+class TestUnwritableStore:
+    def test_cells_run_on_the_built_trace(self, monkeypatch, tmp_path):
+        """A full disk under the trace store costs the stored copy, not
+        the cells: each trace is served from memory, and priming reports
+        the failed write."""
+        monkeypatch.setenv(TRACE_STORE_ENV, str(tmp_path / "shared"))
+
+        def full_disk(self, key, dump):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(ContentStore, "write", full_disk)
+        spec = TraceSpec.catalog("VCCOM", 3_000)
+        cells = [
+            CampaignCell(f"VCCOM/{size}", spec, StackSweepJob(sizes=(size,)))
+            for size in (1024, 4096)
+        ]
+        events = tmp_path / "events.jsonl"
+        catalog._MEMO.clear()
+        try:
+            result = run_campaign(
+                cells, workers=1, cache=False, events=events, backoff=0
+            )
+        finally:
+            catalog._MEMO.clear()
+        assert not result.failures()
+        assert [o.references for o in result.outcomes] == [3_000, 3_000]
+        assert len(TraceStore.from_env()) == 0
+        records = [json.loads(line) for line in events.read_text().splitlines()]
+        errors = [r for r in records if r["event"] == "trace_store_error"]
+        assert [(r["name"], r["error"]) for r in errors] == [("VCCOM", "OSError")]
