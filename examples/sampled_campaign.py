@@ -22,7 +22,7 @@ from repro.workloads import catalog
 LENGTH = 60_000
 WORKLOADS = ("ZGREP", "VCCOM", "FGO1", "LISP1")
 SIZES = (1024, 4096, 16384)
-PLAN = IntervalSampling(fraction=0.1, window=500, warmup="discard", seed=0)
+PLAN = IntervalSampling(fraction=0.1, window=500, seed=0)
 
 
 def main() -> None:

@@ -28,16 +28,7 @@ import sys
 
 from . import analysis
 from .analysis.table2 import table2_experiment
-from .core import (
-    CacheGeometry,
-    FetchPolicy,
-    SplitCache,
-    UnifiedCache,
-    WritePolicy,
-    WriteStrategy,
-    policy_factory,
-    simulate,
-)
+from .core import CacheGeometry, simulate
 from .trace import save_trace
 from .workloads import catalog
 
@@ -65,6 +56,42 @@ def _add_length(parser: argparse.ArgumentParser) -> None:
         "--length", type=int, default=None,
         help="references per trace (default: the paper's per-trace length)",
     )
+
+
+def _add_cache_args(parser: argparse.ArgumentParser) -> None:
+    """Cache-configuration flags shared by simulate and campaign."""
+    parser.add_argument("--line", type=int, default=16, help="line size in bytes")
+    parser.add_argument("--assoc", type=int, default=None,
+                        help="set associativity (default: fully associative)")
+    parser.add_argument("--replacement", default="lru",
+                        choices=["lru", "fifo", "random", "lfu"])
+    parser.add_argument("--write", default="copy-back",
+                        choices=["copy-back", "write-through"])
+    parser.add_argument("--fetch", default="demand",
+                        choices=["demand", "prefetch-always", "prefetch-tagged",
+                                 "stream"])
+    parser.add_argument("--split", action="store_true", help="split I/D caches")
+    parser.add_argument("--purge", type=int, default=None,
+                        help="purge every N references (task switching)")
+
+
+def _simulate_job(args: argparse.Namespace, size: int, mechanisms):
+    """The SimulateJob (or MechanismStudyJob) the cache flags describe."""
+    from .core.jobs import MechanismStudyJob, SimulateJob
+
+    options = dict(
+        size=size,
+        line_size=args.line,
+        associativity=args.assoc,
+        replacement=args.replacement,
+        write=args.write,
+        fetch=args.fetch,
+        split=args.split,
+        purge_interval=args.purge,
+    )
+    if mechanisms is None:
+        return SimulateJob(**options)
+    return MechanismStudyJob(mechanisms=mechanisms, **options)
 
 
 def _add_mechanism_args(parser: argparse.ArgumentParser) -> None:
@@ -146,19 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated trace names (default: all 57)")
     p.add_argument("--sizes", type=_sizes, default=None,
                    help="comma-separated cache sizes in bytes")
-    p.add_argument("--line", type=int, default=16, help="line size in bytes")
-    p.add_argument("--assoc", type=int, default=None,
-                   help="set associativity (default: fully associative)")
-    p.add_argument("--replacement", default="lru",
-                   choices=["lru", "fifo", "random", "lfu"])
-    p.add_argument("--write", default="copy-back",
-                   choices=["copy-back", "write-through"])
-    p.add_argument("--fetch", default="demand",
-                   choices=["demand", "prefetch-always", "prefetch-tagged",
-                            "stream"])
-    p.add_argument("--split", action="store_true", help="split I/D caches")
-    p.add_argument("--purge", type=int, default=None,
-                   help="purge every N references (task switching)")
+    _add_cache_args(p)
     _add_mechanism_args(p)
     p.add_argument("--stack", action="store_true",
                    help="use the one-pass LRU stack sweep per trace instead "
@@ -207,15 +222,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clusters", type=int, default=8,
                    help="behavioral clusters for --sampling representative "
                    "(default 8)")
-    p.add_argument("--sampling-mode", default="systematic",
-                   choices=["systematic", "random"],
-                   help="how interval-sampled windows are chosen: evenly "
-                   "spaced with a seeded phase, or seeded-random")
-    p.add_argument("--sampling-warmup", default="discard",
-                   choices=["cold", "discard", "stitch"],
-                   help="cold-start handling per sampled window")
     p.add_argument("--sampling-seed", type=int, default=0,
-                   help="seed for window choice and the bootstrap")
+                   help="seed for the window phase and the bootstrap")
     p.add_argument("--target-error", type=float, default=None, metavar="REL",
                    help="error budget: grow the sample until every CI "
                    "half-width is within REL of its estimate "
@@ -257,19 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate one trace / cache configuration")
     p.add_argument("trace")
     p.add_argument("--size", type=int, default=16384, help="capacity in bytes")
-    p.add_argument("--line", type=int, default=16, help="line size in bytes")
-    p.add_argument("--assoc", type=int, default=None,
-                   help="set associativity (default: fully associative)")
-    p.add_argument("--replacement", default="lru",
-                   choices=["lru", "fifo", "random", "lfu"])
-    p.add_argument("--write", default="copy-back",
-                   choices=["copy-back", "write-through"])
-    p.add_argument("--fetch", default="demand",
-                   choices=["demand", "prefetch-always", "prefetch-tagged",
-                            "stream"])
-    p.add_argument("--split", action="store_true", help="split I/D caches")
-    p.add_argument("--purge", type=int, default=None,
-                   help="purge every N references (task switching)")
+    _add_cache_args(p)
     _add_mechanism_args(p)
     _add_length(p)
 
@@ -363,27 +359,9 @@ def _cmd_machines(args: argparse.Namespace) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
     trace = catalog.generate(args.trace, args.length)
-    geometry = CacheGeometry(args.size, args.line, args.assoc)
-    if args.write == "copy-back":
-        write = WritePolicy(WriteStrategy.COPY_BACK, allocate_on_write=True)
-    else:
-        write = WritePolicy(WriteStrategy.WRITE_THROUGH, allocate_on_write=False)
-    fetch = FetchPolicy(args.fetch)
-    replacement = policy_factory(args.replacement)
-    config = _mechanism_config(args)
-    miss_path = config.build(args.line) if config is not None else None
-    if args.split:
-        organization = SplitCache(
-            geometry, replacement=replacement, write_policy=write,
-            fetch_policy=fetch, miss_path=miss_path,
-        )
-    else:
-        organization = UnifiedCache(
-            geometry, replacement=replacement, write_policy=write,
-            fetch_policy=fetch, miss_path=miss_path,
-        )
-    report = simulate(trace, organization, purge_interval=args.purge)
+    report = _simulate_job(args, args.size, _mechanism_config(args)).run(trace)
     stats = report.overall
+    geometry = CacheGeometry(args.size, args.line, args.assoc)
     print(f"trace            : {report.trace_name} ({report.references} references)")
     print(f"cache            : {geometry.describe()}"
           f"{' (split I/D)' if args.split else ''}")
@@ -416,13 +394,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     import os
 
     from .campaign import run_campaign
-    from .core.jobs import (
-        CampaignCell,
-        MechanismStudyJob,
-        SimulateJob,
-        StackSweepJob,
-        TraceSpec,
-    )
+    from .core.jobs import CampaignCell, StackSweepJob, TraceSpec
     from .trace.store import TRACE_STORE_ENV
 
     if args.trace_store:
@@ -456,23 +428,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         for name in names:
             spec = TraceSpec.catalog(name, args.length)
             for size in sizes:
-                options = dict(
-                    size=size,
-                    line_size=args.line,
-                    associativity=args.assoc,
-                    replacement=args.replacement,
-                    write=args.write,
-                    fetch=args.fetch,
-                    split=args.split,
-                    purge_interval=args.purge,
-                )
-                job = (
-                    SimulateJob(**options)
-                    if mechanisms is None
-                    else MechanismStudyJob(mechanisms=mechanisms, **options)
-                )
                 cells.append(
-                    CampaignCell(label=f"{name}/{size}", trace=spec, job=job)
+                    CampaignCell(
+                        label=f"{name}/{size}",
+                        trace=spec,
+                        job=_simulate_job(args, size, mechanisms),
+                    )
                 )
 
     cache = False if args.no_cache else (args.cache_dir or None)
@@ -497,8 +458,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         plan = IntervalSampling(
             fraction=args.sampling if args.sampling is not None else 0.05,
             window=args.sampling_window,
-            mode=args.sampling_mode,
-            warmup=args.sampling_warmup,
             seed=args.sampling_seed,
             target_rel_err=args.target_error,
         )

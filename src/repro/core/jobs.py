@@ -73,8 +73,9 @@ __all__ = [
 #: Version 6: sampled simulations estimate the instruction miss ratio
 #: from ``IFETCH`` references alone (``FETCH`` records no longer count),
 #: matching :attr:`SimulationReport.instruction_miss_ratio`.
-#: Interval-plan identities later lost their ``strata`` key without a bump:
-#: interval-sampled cell keys changed once, every other key stayed.
+#: Interval-plan identities later lost their ``strata`` key, and then their
+#: ``mode`` and ``warmup`` keys, without a bump: interval-sampled cell keys
+#: changed each time, every other key stayed.
 CACHE_SCHEMA_VERSION = 6
 
 _WRITE_POLICIES = {
@@ -262,9 +263,6 @@ class SimulateJob:
     :func:`repro.core.simulator.simulate` and is *excluded* from the cache
     identity: every engine produces an identical report, so forcing
     ``"generic"`` (or ``"kernel"``) must hit the same cached cell.
-    ``allow_warm`` is likewise excluded — it only relaxes the fresh-
-    organization guard (the organization built here is always fresh, so
-    results cannot differ).
     """
 
     size: int
@@ -278,7 +276,6 @@ class SimulateJob:
     limit: int | None = None
     warmup: int = 0
     engine: str = "auto"
-    allow_warm: bool = False
 
     def _miss_path(self):
         """Components to attach to the organization (None in the base job)."""
@@ -308,7 +305,6 @@ class SimulateJob:
             limit=self.limit,
             warmup=self.warmup,
             engine=self.engine,
-            allow_warm=self.allow_warm,
         )
 
     def identity(self) -> dict:
@@ -333,7 +329,7 @@ class MechanismStudyJob(SimulateJob):
     """A :class:`SimulateJob` with miss-path mechanisms attached.
 
     The :class:`~repro.core.misspath.MechanismConfig` *is* part of the
-    cell identity (unlike ``engine``/``allow_warm``): a victim-cache run
+    cell identity (unlike ``engine``): a victim-cache run
     and the bare baseline are different experiments.  The job name also
     changes to ``"mechanism-study"`` so even an inactive config never
     aliases a plain simulate cell.

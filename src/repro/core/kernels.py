@@ -59,6 +59,7 @@ __all__ = [
     "can_replay",
     "lru_demand_replay",
     "all_associativity_hit_counts",
+    "associativity_groups",
     "associativity_miss_surface",
 ]
 
@@ -735,6 +736,47 @@ def all_associativity_hit_counts(
     return np.cumsum(hist)[: max_ways + 1], total
 
 
+def associativity_groups(
+    ways: Sequence[int | None], capacities: Sequence[int], line_size: int
+) -> dict[int, list[tuple[int, int, int]]]:
+    """Group a (ways x capacities) grid by set count: one pass per group.
+
+    Returns ``{num_sets: [(row, column, threshold), ...]}``: a cell of a
+    ``num_sets``-set cache hits iff a reference's per-set stack distance
+    is at most ``threshold`` (its associativity).  A fully associative
+    cell (``None``) is the ``num_sets=1`` corner with the capacity's line
+    count as threshold, so ``None`` rows join the same grouping.
+    (Capacities and line sizes are powers of two, so any dividing
+    associativity yields a power-of-two set count.)
+
+    Raises:
+        ValueError: for capacities that are not positive multiples of the
+            line size, non-positive ways, or an associativity that does
+            not divide a capacity's line count (the geometries the engine
+            itself rejects).
+    """
+    capacities = [int(capacity) for capacity in capacities]
+    if any(capacity <= 0 or capacity % line_size for capacity in capacities):
+        raise ValueError(
+            f"capacities must be positive multiples of line_size={line_size}"
+        )
+    groups: dict[int, list[tuple[int, int, int]]] = {}
+    for i, way in enumerate(ways):
+        if way is not None and way <= 0:
+            raise ValueError(f"associativity must be positive, got {way}")
+        for j, capacity in enumerate(capacities):
+            num_lines = capacity // line_size
+            if way is None:
+                groups.setdefault(1, []).append((i, j, num_lines))
+                continue
+            if num_lines % way:
+                raise ValueError(
+                    f"associativity {way} does not divide {num_lines} lines"
+                )
+            groups.setdefault(num_lines // way, []).append((i, j, way))
+    return groups
+
+
 def associativity_miss_surface(
     trace: Trace,
     ways: Sequence[int | None],
@@ -757,51 +799,24 @@ def associativity_miss_surface(
         line_size: line size in bytes.
 
     Returns:
-        Array of shape ``(len(ways), len(capacities))``.
+        Array of shape ``(len(ways), len(capacities))``; NaN everywhere
+        for an empty stream.
 
     Raises:
-        ValueError: for capacities that are not positive multiples of the
-            line size, non-positive ways, or an associativity that does not
-            divide a capacity's line count (the geometries the engine
-            itself rejects).
+        ValueError: for a grid :func:`associativity_groups` rejects.
     """
-    capacities = [int(capacity) for capacity in capacities]
-    if any(capacity <= 0 or capacity % line_size for capacity in capacities):
-        raise ValueError(
-            f"capacities must be positive multiples of line_size={line_size}"
-        )
-    compiled = trace.compiled(line_size)
-    lines = compiled.lines
+    groups = associativity_groups(ways, capacities, line_size)
+    lines = trace.compiled(line_size).lines
     total = len(lines)
     surface = np.empty((len(ways), len(capacities)))
-
-    # Group cells by their set count; every group is one pass.  A fully
-    # associative cell is just the num_sets=1, ways=capacity_lines corner,
-    # so the ``None`` rows join the same grouping.  (Capacities and line
-    # sizes are powers of two, so any dividing associativity yields a
-    # power-of-two set count.)
-    cells_by_sets: dict[int, list[tuple[int, int, int]]] = {}
-    for i, way in enumerate(ways):
-        if way is not None and way <= 0:
-            raise ValueError(f"associativity must be positive, got {way}")
-        for j, capacity in enumerate(capacities):
-            num_lines = capacity // line_size
-            if way is None:
-                cells_by_sets.setdefault(1, []).append((i, j, num_lines))
-                continue
-            if num_lines % way:
-                raise ValueError(
-                    f"associativity {way} does not divide {num_lines} lines"
-                )
-            cells_by_sets.setdefault(num_lines // way, []).append((i, j, way))
-
     # Miss ratios are formed as (total - hits) / total — the same integer
     # division the engine's misses/references performs, so the surface is
-    # bit-identical to direct simulation, not merely close.
-    for num_sets, cells in cells_by_sets.items():
+    # bit-identical to direct simulation, not merely close.  An empty
+    # stream's ratio is unknown (NaN), not zero.
+    for num_sets, cells in groups.items():
         hits, _ = all_associativity_hit_counts(
             lines, num_sets, max(way for _i, _j, way in cells)
         )
         for i, j, way in cells:
-            surface[i, j] = (total - int(hits[way])) / total if total else 0.0
+            surface[i, j] = (total - int(hits[way])) / total if total else np.nan
     return surface

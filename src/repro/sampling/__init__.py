@@ -3,14 +3,16 @@
 The subsystem has four layers (see ``docs/sampling.md``):
 
 * :mod:`~repro.sampling.plans` — *what to sample*:
-  :class:`IntervalSampling` (systematic or seeded-random windows),
+  :class:`IntervalSampling` (evenly spaced windows, each after a
+  discarded warm prefix),
   :class:`SetSampling` (a hash-selected subset of cache sets, exact per
   kept set), and
   :class:`RepresentativeSampling` (one weighted medoid window per
   behavioral cluster, SimPoint-style).
 * :mod:`~repro.sampling.engine` / :mod:`~repro.sampling.representative`
-  — *how to run it*: exact per-window stack-distance passes, per-set
-  kernel passes, or windowed direct simulation, each with cold-start
+  — *how to run it*: exact per-window, per-set stack-distance passes
+  (one sweep path for stack and associativity sweeps), exact per-class
+  set-sampled passes, or windowed direct simulation, each with cold-start
   bias bounds; representative plans add a memoized whole-trace windowed
   profile that prices additional configurations at a handful of windows.
 * :mod:`~repro.sampling.estimators` — *what to report*: ratio estimates

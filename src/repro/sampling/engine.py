@@ -2,38 +2,35 @@
 
 One engine per campaign job family:
 
-* :func:`sampled_stack_sweep` — interval-sampled LRU capacity sweeps.
-  Per sampled window the engine computes exact per-reference stack
-  distances (the same Fenwick pass as :mod:`repro.core.stackdist`,
-  un-histogrammed so distances stay aligned with trace positions) over
-  the warm prefix plus the window, and reads the window's miss counts
-  for every capacity from the distances of the measured region alone.
-  Because a stack distance depends only on *earlier* references, the
-  prefix-warmed counts are exactly "misses of this window given this
-  prefix" — no replay approximation.
-* :func:`sampled_associativity_sweep` — the same prefix/window
-  subtraction applied to the per-set kernel
-  (:func:`repro.core.kernels.all_associativity_hit_counts`), or exact
-  set sampling under a :class:`~repro.sampling.plans.SetSampling` plan.
+* :func:`sampled_stack_sweep` and :func:`sampled_associativity_sweep` —
+  interval-sampled LRU sweeps, one per-window loop for both.  A stack
+  sweep is the one-set row of an associativity grid, so both group their
+  cells by set count (:func:`repro.core.kernels.associativity_groups`).
+  Per sampled window and set count the engine computes exact per-set
+  stack distances (:func:`repro.core.stackdist.set_stack_distances`) over
+  the warm prefix plus the window, and reads the window's miss counts for
+  every cell of the group from the distances of the measured region
+  alone.  Because a stack distance depends only on *earlier* references,
+  the prefix-warmed counts are exactly "misses of this window given this
+  prefix" — no replay approximation.  Set sampling under a
+  :class:`~repro.sampling.plans.SetSampling` plan is exact per kept
+  class instead.
 * :func:`sampled_simulate` — interval-sampled direct simulation through
   :func:`repro.core.simulator.simulate`, reusing its warmup machinery
-  for discard-mode prefixes and carrying one organization across
-  windows for stitch mode.
+  for the discarded prefixes.
 
 **Bias bounds.**  For LRU, a window simulated after a warm prefix can
 only *overcount* misses: the prefix-warmed LRU stack is exactly the top
 of the true (full-history) stack, so every hit the sampled run sees is a
 true hit, and the spurious misses are at most the window's cold
 references not covered by the prefix — zero when a purge fell inside
-the prefix, and zero at capacity ``C`` once the prefix touched ``C``
-distinct lines.  Stitch mode can also *undercount* (distances across the
-gaps shrink), bounded by the cross-window reuse count.  The engines
-compute these bounds per window and the estimator widens the CI by them
-deterministically, which is what makes "truth inside the reported
-interval" a guarantee rather than a 95% hope for the one-sided part of
-the error.  For :func:`sampled_simulate` under non-LRU or prefetching
-policies the same counts are used as a heuristic (documented in
-``docs/sampling.md``).
+the prefix, and, in a one-set group, zero at capacity ``C`` once the
+prefix touched ``C`` distinct lines.  The engines compute these bounds
+per window and the estimator widens the CI by them deterministically,
+which is what makes "truth inside the reported interval" a guarantee
+rather than a 95% hope for the one-sided part of the error.  For
+:func:`sampled_simulate` under non-LRU or prefetching policies the same
+counts are used as a heuristic (documented in ``docs/sampling.md``).
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..core.jobs import AssociativitySweepJob, SimulateJob, StackSweepJob
-from ..core.kernels import all_associativity_hit_counts
+from ..core.kernels import all_associativity_hit_counts, associativity_groups
 from ..core.simulator import simulate
 from ..core.stackdist import (
     COLD_DISTANCE,
@@ -81,13 +78,133 @@ __all__ = [
 _BUDGET_FLOOR = 1e-3
 
 
-# -- interval-sampled stack sweep --------------------------------------------
+# -- interval-sampled sweeps -------------------------------------------------
 
 
-def _miss_counts(distances: np.ndarray, capacities_lines: np.ndarray) -> np.ndarray:
-    """Miss counts per capacity: references with distance > capacity."""
+def _miss_counts(distances: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Miss counts per threshold: references with distance > threshold."""
     ordered = np.sort(distances)
-    return len(ordered) - np.searchsorted(ordered, capacities_lines, side="right")
+    return len(ordered) - np.searchsorted(ordered, thresholds, side="right")
+
+
+@dataclass(frozen=True)
+class _SweepGrid:
+    """A sweep job as an associativity grid grouped by set count.
+
+    ``groups`` maps a set count to its ``(row, column, threshold)`` cells
+    (:func:`repro.core.kernels.associativity_groups`); a stack sweep is
+    the single row of one-set cells at its capacities in lines.  ``kinds``
+    and ``purge_interval`` select and purge the line stream.
+    """
+
+    groups: dict[int, list[tuple[int, int, int]]]
+    rows: int
+    cols: int
+    kinds: tuple[int, ...] | None = None
+    purge_interval: int | None = None
+
+    @classmethod
+    def of(cls, job: StackSweepJob | AssociativitySweepJob) -> "_SweepGrid":
+        if isinstance(job, StackSweepJob):
+            caps = capacity_lines(job.sizes, job.line_size, job.purge_interval)
+            cells = [(0, j, c) for j, c in enumerate(caps.tolist())]
+            return cls(
+                {1: cells},
+                rows=1,
+                cols=len(cells),
+                kinds=None if job.kinds is None else tuple(int(k) for k in job.kinds),
+                purge_interval=job.purge_interval,
+            )
+        groups = associativity_groups(job.ways, job.capacities, job.line_size)
+        return cls(groups, len(job.ways), len(job.capacities))
+
+    def value(self, job, estimates) -> tuple:
+        """The job-shaped payload of row-major per-cell ``estimates``."""
+        if isinstance(job, StackSweepJob):
+            return tuple(e.value for e in estimates)
+        return tuple(
+            tuple(estimates[i * self.cols + j].value for j in range(self.cols))
+            for i in range(self.rows)
+        )
+
+
+def _interval_sweep(
+    trace: Trace, job: StackSweepJob | AssociativitySweepJob, plan: IntervalSampling
+) -> SampledValue:
+    """The one per-window loop of both interval-sampled sweeps: per window
+    and set count, one distance pass over prefix + window."""
+    grid = _SweepGrid.of(job)
+    total = len(trace)
+    selection = select_intervals(plan, total)
+    lines, positions = kind_stream(trace.compiled(job.line_size), grid.kinds)
+
+    units = len(selection.intervals)
+    metrics = grid.rows * grid.cols
+    misses = np.zeros((units, metrics))
+    refs = np.zeros(units)
+    bias_up = np.zeros((units, metrics))
+    measured = 0
+    replayed = 0
+    warm = plan.warmup_references
+    for w, iv in enumerate(selection.intervals):
+        warm_start = max(0, iv.start - warm)
+        lo, mid, hi = (
+            int(b)
+            for b in np.searchsorted(
+                positions, [warm_start, iv.start, iv.stop], side="left"
+            )
+        )
+        measured += iv.stop - iv.start
+        replayed += iv.stop - warm_start
+        if hi == mid:
+            continue  # window matched no (filtered) references
+        segment = lines[lo:hi]
+        prefix_length = mid - lo
+        resets = purge_resets(positions[lo:hi], grid.purge_interval)
+        refs[w] = hi - mid
+        # Full history included, or a purge inside the prefix: the warm
+        # state is exact.  Otherwise cold references before any in-window
+        # purge may be spurious misses.
+        exact = warm_start == 0 or (
+            resets is not None and bool((resets <= prefix_length).any())
+        )
+        if resets is not None and len(resets):
+            bias_end = int(resets[0]) - prefix_length
+        else:
+            bias_end = hi - mid
+        for num_sets, cells in grid.groups.items():
+            columns = [i * grid.cols + j for i, j, _t in cells]
+            thresholds = np.asarray([t for _i, _j, t in cells], dtype=np.int64)
+            distances = set_stack_distances(segment, num_sets, resets)[prefix_length:]
+            misses[w, columns] = _miss_counts(distances, thresholds)
+            if exact:
+                continue
+            cold = int(np.count_nonzero(distances[:bias_end] == COLD_DISTANCE))
+            if not cold:
+                continue
+            if num_sets == 1:
+                # Refined per capacity by the prefix's distinct-line
+                # coverage: a prefix that touched C lines fills the top
+                # of the true stack at capacity C.
+                prefix_distinct = len(np.unique(segment[:prefix_length]))
+                bias_up[w, columns] = np.minimum(
+                    cold, np.maximum(0, thresholds - prefix_distinct)
+                )
+            else:
+                bias_up[w, columns] = cold
+
+    estimates = ratio_estimates(
+        misses,
+        refs,
+        expansion=selection.expansion,
+        bias_up=(selection.expansion[:, None] * bias_up).sum(axis=0),
+        confidence=plan.confidence,
+        bootstrap=plan.bootstrap,
+        seed=plan.seed + 1,
+        clip=(0.0, 1.0),
+    )
+    info = _interval_info(plan, selection, measured, replayed, total, tuple(estimates))
+    return SampledValue(grid.value(job, estimates), info)
 
 
 def sampled_stack_sweep(
@@ -104,112 +221,7 @@ def sampled_stack_sweep(
         from .representative import representative_stack_sweep
 
         return representative_stack_sweep(trace, job, plan)
-    caps_lines = capacity_lines(job.sizes, job.line_size, job.purge_interval)
-    metrics = len(caps_lines)
-    total = len(trace)
-    selection = select_intervals(plan, total)
-    if not selection.intervals:
-        # No sampled references: the miss ratio is unknown, not perfect.
-        nan = float("nan")
-        estimates = tuple(Estimate(nan, nan, nan, plan.confidence) for _ in caps_lines)
-        return SampledValue(
-            tuple(nan for _ in caps_lines),
-            _interval_info(plan, selection, 0, 0, total, estimates),
-        )
-
-    lines, positions = kind_stream(trace.compiled(job.line_size), job.kinds)
-
-    units = len(selection.intervals)
-    misses = np.zeros((units, metrics))
-    refs = np.zeros(units)
-    bias_up = np.zeros((units, metrics))
-    bias_down = np.zeros((units, metrics))
-    measured = 0
-    replayed = 0
-
-    if plan.warmup == "stitch":
-        bounds = [
-            (
-                int(np.searchsorted(positions, iv.start, side="left")),
-                int(np.searchsorted(positions, iv.stop, side="left")),
-            )
-            for iv in selection.intervals
-        ]
-        segment = np.concatenate([lines[lo:hi] for lo, hi in bounds])
-        seg_positions = np.concatenate([positions[lo:hi] for lo, hi in bounds])
-        distances = set_stack_distances(
-            segment, 1, purge_resets(seg_positions, job.purge_interval)
-        )
-        offset = 0
-        for w, ((lo, hi), iv) in enumerate(zip(bounds, selection.intervals)):
-            span = hi - lo
-            window_distances = distances[offset : offset + span]
-            window_lines = segment[offset : offset + span]
-            offset += span
-            misses[w] = _miss_counts(window_distances, caps_lines)
-            refs[w] = span
-            cold = int(np.count_nonzero(window_distances == COLD_DISTANCE))
-            distinct = len(np.unique(window_lines)) if span else 0
-            if iv.start > 0:
-                # A globally-cold reference may be a true hit (its line
-                # could be resident from the unsampled gap): overcount.
-                bias_up[w] = np.minimum(cold, caps_lines)
-            # A cross-window reuse got a gap-shrunk distance: undercount.
-            bias_down[w] = distinct - cold
-            measured += iv.stop - iv.start
-            replayed += iv.stop - iv.start
-    else:
-        warm = plan.warmup_references
-        for w, iv in enumerate(selection.intervals):
-            warm_start = max(0, iv.start - warm)
-            lo, mid, hi = (
-                int(b)
-                for b in np.searchsorted(
-                    positions, [warm_start, iv.start, iv.stop], side="left"
-                )
-            )
-            measured += iv.stop - iv.start
-            replayed += iv.stop - warm_start
-            if hi == mid:
-                continue  # window matched no (filtered) references
-            segment = lines[lo:hi]
-            resets = purge_resets(positions[lo:hi], job.purge_interval)
-            distances = set_stack_distances(segment, 1, resets)
-            window_distances = distances[mid - lo :]
-            misses[w] = _miss_counts(window_distances, caps_lines)
-            refs[w] = hi - mid
-            if warm_start == 0:
-                continue  # full history included: cold references are real
-            prefix_length = mid - lo
-            if resets is not None and (resets <= prefix_length).any():
-                continue  # a purge inside the prefix makes the state exact
-            # Overcount bound: cold references before any in-window purge,
-            # refined per capacity by the prefix's distinct-line coverage.
-            if resets is not None and len(resets):
-                bias_end = int(resets[0]) - prefix_length
-            else:
-                bias_end = hi - mid
-            cold = int(np.count_nonzero(window_distances[:bias_end] == COLD_DISTANCE))
-            if cold:
-                prefix_distinct = len(np.unique(segment[:prefix_length]))
-                bias_up[w] = np.minimum(
-                    cold, np.maximum(0, caps_lines - prefix_distinct)
-                )
-
-    estimates = ratio_estimates(
-        misses,
-        refs,
-        expansion=selection.expansion,
-        bias_up=(selection.expansion[:, None] * bias_up).sum(axis=0),
-        bias_down=(selection.expansion[:, None] * bias_down).sum(axis=0),
-        confidence=plan.confidence,
-        bootstrap=plan.bootstrap,
-        seed=plan.seed + 1,
-        clip=(0.0, 1.0),
-    )
-    value = tuple(e.value for e in estimates)
-    info = _interval_info(plan, selection, measured, replayed, total, tuple(estimates))
-    return SampledValue(value, info)
+    return _interval_sweep(trace, job, plan)
 
 
 def _interval_info(
@@ -232,36 +244,6 @@ def _interval_info(
     )
 
 
-# -- associativity sweeps ----------------------------------------------------
-
-
-def _surface_cells(
-    job: AssociativitySweepJob,
-) -> tuple[dict[int, list[tuple[int, int, int]]], int, int]:
-    """Group the (ways x capacities) grid by set count, as the exact
-    kernel does, returning ``(groups, rows, cols)``."""
-    capacities = [int(c) for c in job.capacities]
-    if any(c <= 0 or c % job.line_size for c in capacities):
-        raise ValueError(
-            f"capacities must be positive multiples of line_size={job.line_size}"
-        )
-    groups: dict[int, list[tuple[int, int, int]]] = {}
-    for i, way in enumerate(job.ways):
-        if way is not None and way <= 0:
-            raise ValueError(f"associativity must be positive, got {way}")
-        for j, capacity in enumerate(capacities):
-            num_lines = capacity // job.line_size
-            if way is None:
-                groups.setdefault(1, []).append((i, j, num_lines))
-                continue
-            if num_lines % way:
-                raise ValueError(
-                    f"associativity {way} does not divide {num_lines} lines"
-                )
-            groups.setdefault(num_lines // way, []).append((i, j, way))
-    return groups, len(job.ways), len(capacities)
-
-
 def sampled_associativity_sweep(
     trace: Trace, job: AssociativitySweepJob, plan: SamplingPlan
 ) -> SampledValue:
@@ -270,10 +252,8 @@ def sampled_associativity_sweep(
     Under :class:`SetSampling` the kept set classes are simulated
     exactly and extrapolated across classes (grid cells with fewer sets
     than classes — fully associative rows included — are computed
-    exactly on the full stream).  Under :class:`IntervalSampling`
-    (``cold``/``discard`` modes) each window's miss counts come from a
-    prefix/window kernel-pass subtraction; ``stitch`` is not supported
-    for per-set state.
+    exactly on the full stream).  Under :class:`IntervalSampling` it
+    runs the same per-window loop as :func:`sampled_stack_sweep`.
 
     The payload is the nested point-estimate surface; the info's
     estimates are flattened row-major over (ways, capacities).
@@ -284,80 +264,14 @@ def sampled_associativity_sweep(
         from .representative import representative_associativity_sweep
 
         return representative_associativity_sweep(trace, job, plan)
-    if plan.warmup == "stitch":
-        raise ValueError(
-            "stitch warmup is not supported for associativity sweeps "
-            "(per-set state cannot be carried through the one-pass kernel); "
-            "use warmup='discard' or a SetSampling plan"
-        )
-    groups, rows, cols = _surface_cells(job)
-    metrics = rows * cols
-    total = len(trace)
-    selection = select_intervals(plan, total)
-    compiled = trace.compiled(job.line_size)
-    lines, positions = compiled.lines, compiled.positions
-
-    units = len(selection.intervals)
-    misses = np.zeros((units, metrics))
-    refs = np.zeros(units)
-    bias_up = np.zeros((units, metrics))
-    measured = 0
-    replayed = 0
-    warm = plan.warmup_references
-    for w, iv in enumerate(selection.intervals):
-        warm_start = max(0, iv.start - warm)
-        lo, mid, hi = (
-            int(b)
-            for b in np.searchsorted(
-                positions, [warm_start, iv.start, iv.stop], side="left"
-            )
-        )
-        measured += iv.stop - iv.start
-        replayed += iv.stop - warm_start
-        if hi == mid:
-            continue
-        segment = lines[lo:hi]
-        prefix = lines[lo:mid]
-        refs[w] = hi - mid
-        cold = 0
-        if warm_start > 0:
-            cold = len(np.setdiff1d(lines[mid:hi], prefix))
-        for num_sets, cells in groups.items():
-            max_way = max(way for _i, _j, way in cells)
-            hits_seg, total_seg = all_associativity_hit_counts(segment, num_sets, max_way)
-            if len(prefix):
-                hits_pre, total_pre = all_associativity_hit_counts(
-                    prefix, num_sets, max_way
-                )
-            else:
-                hits_pre, total_pre = np.zeros(max_way + 1, dtype=np.int64), 0
-            for i, j, way in cells:
-                cell = i * cols + j
-                misses[w, cell] = (total_seg - int(hits_seg[way])) - (
-                    total_pre - int(hits_pre[way])
-                )
-                bias_up[w, cell] = cold
-    estimates = ratio_estimates(
-        misses,
-        refs,
-        expansion=selection.expansion,
-        bias_up=(selection.expansion[:, None] * bias_up).sum(axis=0),
-        confidence=plan.confidence,
-        bootstrap=plan.bootstrap,
-        seed=plan.seed + 1,
-        clip=(0.0, 1.0),
-    )
-    surface = tuple(
-        tuple(estimates[i * cols + j].value for j in range(cols)) for i in range(rows)
-    )
-    info = _interval_info(plan, selection, measured, replayed, total, tuple(estimates))
-    return SampledValue(surface, info)
+    return _interval_sweep(trace, job, plan)
 
 
 def _set_sampled_surface(
     trace: Trace, job: AssociativitySweepJob, plan: SetSampling
 ) -> SampledValue:
-    groups, rows, cols = _surface_cells(job)
+    grid = _SweepGrid.of(job)
+    groups, rows, cols = grid.groups, grid.rows, grid.cols
     compiled = trace.compiled(job.line_size)
     lines = compiled.lines
     total_lines = len(lines)
@@ -398,9 +312,7 @@ def _set_sampled_surface(
             estimates[i * cols + j] = estimate
     sampled_line_refs = int(sum(len(s) for s in class_streams.values()))
 
-    surface = tuple(
-        tuple(estimates[i * cols + j].value for j in range(cols)) for i in range(rows)
-    )
+    surface = grid.value(job, estimates)
     # References are counted in trace terms for the info block; the set
     # filter keeps the same fraction of line references.
     total_refs = len(trace)
@@ -478,7 +390,7 @@ def _sampled_total(trace: Trace, job: SimulateJob) -> int:
     if job.warmup:
         raise ValueError(
             "sampled SimulateJob cells must not set job.warmup; "
-            "use the plan's warmup mode instead"
+            "use the plan's warmup_fraction instead"
         )
     return len(trace) if job.limit is None else min(job.limit, len(trace))
 
@@ -580,12 +492,11 @@ def sampled_simulate(
     """Estimate a :class:`SimulateJob`'s report from sampled windows.
 
     Each window is replayed through a fresh organization after a
-    discarded warm prefix (``simulate``'s own warmup machinery), or —
-    in stitch mode — through one organization carried across windows in
-    trace order.  The window's purge clock restarts at its (warm) start,
-    a documented approximation.  The payload is a :class:`SampledReport`;
-    the info's estimates are ordered (overall, instruction, data) miss
-    ratios then (overall, instruction, data) traffic bytes/reference.
+    discarded warm prefix (``simulate``'s own warmup machinery).  The
+    window's purge clock restarts at its (warm) start, a documented
+    approximation.  The payload is a :class:`SampledReport`; the info's
+    estimates are ordered (overall, instruction, data) miss ratios then
+    (overall, instruction, data) traffic bytes/reference.
 
     Raises:
         ValueError: if the job itself requests warmup (compose the plan's
@@ -599,53 +510,26 @@ def sampled_simulate(
     selection = select_intervals(plan, total)
     intervals = selection.intervals
     measured = sum(iv.stop - iv.start for iv in intervals)
+    warm = plan.warmup_references
+    rows = _replay_windows(trace, job, intervals, warm)
     # Cold-start bounds in lines per window, from the line stream
     # (rigorous for LRU demand fetch; a heuristic otherwise — see
     # docs/sampling.md).
     over = np.zeros(len(intervals))
-    under = np.zeros(len(intervals))
     compiled = trace.compiled(job.line_size)
     lines, positions = compiled.lines, compiled.positions
-
-    if plan.warmup == "stitch":
-        rows = _WindowRows(len(intervals))
-        organization = job.build_organization()
-        seen = np.empty(0, dtype=np.int64)
-        for w, iv in enumerate(intervals):
-            organization.reset_statistics()
-            # Stitch mode deliberately carries the warm organization across
-            # windows (functional warming); allow_warm opts into the reuse.
-            report = simulate(
-                trace[iv.start : iv.stop],
-                organization,
-                purge_interval=job.purge_interval,
-                engine=job.engine,
-                allow_warm=True,
-            )
-            rows.read(w, report, iv)
-            lo, hi = np.searchsorted(positions, [iv.start, iv.stop], side="left")
-            window_lines = np.unique(lines[int(lo) : int(hi)])
-            cold = len(np.setdiff1d(window_lines, seen, assume_unique=True))
-            seen = np.union1d(seen, window_lines)
-            if iv.start > 0:
-                over[w] = cold
-            under[w] = len(window_lines) - cold
-        replayed = measured
-    else:
-        warm = plan.warmup_references
-        rows = _replay_windows(trace, job, intervals, warm)
-        replayed = 0
-        for w, iv in enumerate(intervals):
-            warm_start = max(0, iv.start - warm)
-            replayed += iv.stop - warm_start
-            if warm_start > 0:
-                plo, lo, hi = (
-                    int(b)
-                    for b in np.searchsorted(
-                        positions, [warm_start, iv.start, iv.stop], side="left"
-                    )
+    replayed = 0
+    for w, iv in enumerate(intervals):
+        warm_start = max(0, iv.start - warm)
+        replayed += iv.stop - warm_start
+        if warm_start > 0:
+            plo, lo, hi = (
+                int(b)
+                for b in np.searchsorted(
+                    positions, [warm_start, iv.start, iv.stop], side="left"
                 )
-                over[w] = len(np.setdiff1d(np.unique(lines[lo:hi]), lines[plo:lo]))
+            )
+            over[w] = len(np.setdiff1d(np.unique(lines[lo:hi]), lines[plo:lo]))
 
     # Each possibly spurious miss is priced at two lines of traffic (a
     # fetch and a write-back).
@@ -655,17 +539,16 @@ def sampled_simulate(
         side = column % 3
         if column < 3:
             numerators, denominators = rows.misses[:, side], rows.references[:, side]
-            up, down, clip = over, under, (0.0, 1.0)
+            up, clip = over, (0.0, 1.0)
         else:
             numerators, denominators = rows.traffic[:, side], rows.window_refs
-            up, down, clip = over * line_traffic, under * line_traffic, (0.0, None)
+            up, clip = over * line_traffic, (0.0, None)
         estimates.extend(
             ratio_estimates(
                 numerators,
                 denominators,
                 expansion=selection.expansion,
                 bias_up=(selection.expansion * up).sum(),
-                bias_down=(selection.expansion * down).sum(),
                 confidence=plan.confidence,
                 bootstrap=plan.bootstrap,
                 seed=plan.seed + 1 + column,

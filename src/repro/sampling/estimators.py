@@ -166,7 +166,6 @@ def ratio_estimates(
     *,
     expansion: np.ndarray | None = None,
     bias_up: np.ndarray | float = 0.0,
-    bias_down: np.ndarray | float = 0.0,
     confidence: float = 0.95,
     bootstrap: int = 200,
     seed: int = 0,
@@ -182,7 +181,6 @@ def ratio_estimates(
         bias_up: per-metric bound on how much the sampled totals may
             *overcount* the truth (in numerator units); widens the lower
             interval edge.
-        bias_down: per-metric undercount bound; widens the upper edge.
         confidence: interval confidence level.
         bootstrap: bootstrap replicates (0 disables; the interval is then
             the bias bounds alone).
@@ -205,7 +203,6 @@ def ratio_estimates(
         np.ones(units) if expansion is None else np.asarray(expansion, dtype=float)
     )
     bias_up = np.broadcast_to(np.asarray(bias_up, dtype=float), (metrics,))
-    bias_down = np.broadcast_to(np.asarray(bias_down, dtype=float), (metrics,))
 
     weighted_num = weights[:, None] * numerators
     weighted_den = weights * denominators
@@ -237,9 +234,8 @@ def ratio_estimates(
         low = values.copy()
         high = values.copy()
 
-    # Deterministic widening by the warm-start bias bounds (ratio units).
+    # Deterministic widening by the warm-start bias bound (ratio units).
     low = low - bias_up / total_den
-    high = high + bias_down / total_den
 
     lo_clip, hi_clip = clip
     if lo_clip is not None:

@@ -4,9 +4,8 @@ Two orthogonal families are supported, mirroring the two classic ways of
 shrinking a trace-driven cache study:
 
 * **Interval (time) sampling** (:class:`IntervalSampling`) — simulate only
-  periodic or randomly chosen windows of the reference stream and
-  extrapolate.  Window starts are systematic (evenly spaced with a seeded
-  phase) or seeded-random.
+  evenly spaced windows of the reference stream (with a seeded phase),
+  each after a discarded warm prefix, and extrapolate.
 * **Set sampling** (:class:`SetSampling`) — simulate only a hash-selected
   subset of cache sets.  Because the engine's set mapping is bit selection
   (``line & (num_sets - 1)``), keeping the lines whose low ``bits`` address
@@ -49,33 +48,21 @@ __all__ = [
     "window_mix_features",
 ]
 
-#: Interval-selection modes.
-INTERVAL_MODES = ("systematic", "random")
-
-#: Cold-start handling per sampled interval.
-WARMUP_MODES = ("cold", "discard", "stitch")
-
-
 @dataclass(frozen=True)
 class IntervalSampling:
     """An interval (time) sampling plan.
+
+    Windows are evenly spaced with a seeded phase, and each is measured
+    after replaying a discarded warm prefix of ``warmup_fraction * window``
+    references (0 means a cold start; the bias bound then widens the
+    interval instead).
 
     Attributes:
         fraction: target fraction of the trace's references to *measure*
             (warmup replays come on top; see ``warmup_fraction``).
         window: references per sampled window.
-        mode: how window starts are chosen — ``"systematic"`` (evenly
-            spaced with a seeded phase) or ``"random"`` (seeded sampling
-            without replacement).
-        warmup: cold-start handling — ``"cold"`` (no mitigation; the bias
-            bound widens the interval instead), ``"discard"`` (replay a
-            prefix of ``warmup_fraction * window`` references before each
-            window and discard its statistics), or ``"stitch"``
-            (functional warming: one LRU state carried across the sampled
-            windows in trace order).
-        warmup_fraction: prefix length for ``"discard"``, as a fraction of
-            the window.
-        seed: base seed for window choice and the bootstrap.
+        warmup_fraction: warm-prefix length as a fraction of the window.
+        seed: base seed for the window phase and the bootstrap.
         confidence: CI confidence level (default 95%).
         bootstrap: bootstrap replicates for the CI (0 = point estimate
             with a bias-bound-only interval).
@@ -86,14 +73,12 @@ class IntervalSampling:
         growth: multiplicative calibration step.
 
     Raises:
-        ValueError: for a non-positive/overlarge fraction, non-positive
-            window, or unknown mode names.
+        ValueError: for a non-positive/overlarge fraction, a non-positive
+            window, or any other out-of-range parameter.
     """
 
     fraction: float = 0.1
     window: int = 2000
-    mode: str = "systematic"
-    warmup: str = "discard"
     warmup_fraction: float = 0.5
     seed: int = 0
     confidence: float = 0.95
@@ -110,12 +95,6 @@ class IntervalSampling:
             )
         if self.window <= 0:
             raise ValueError(f"window must be positive, got {self.window}")
-        if self.mode not in INTERVAL_MODES:
-            raise ValueError(f"mode must be one of {INTERVAL_MODES}, got {self.mode!r}")
-        if self.warmup not in WARMUP_MODES:
-            raise ValueError(
-                f"warmup must be one of {WARMUP_MODES}, got {self.warmup!r}"
-            )
         if self.warmup_fraction < 0:
             raise ValueError(
                 f"warmup_fraction must be non-negative, got {self.warmup_fraction}"
@@ -138,9 +117,7 @@ class IntervalSampling:
 
     @property
     def warmup_references(self) -> int:
-        """Warmup prefix per window in references (0 unless ``discard``)."""
-        if self.warmup != "discard":
-            return 0
+        """Warm prefix per window in references."""
         return int(round(self.window * self.warmup_fraction))
 
     def grown(self, factor: float | None = None) -> "IntervalSampling":
@@ -154,8 +131,6 @@ class IntervalSampling:
             "plan": "interval",
             "fraction": self.fraction,
             "window": self.window,
-            "mode": self.mode,
-            "warmup": self.warmup,
             "warmup_fraction": self.warmup_fraction,
             "seed": self.seed,
             "confidence": self.confidence,
@@ -445,14 +420,10 @@ def select_intervals(plan: IntervalSampling, total: int) -> SelectedIntervals:
         )
 
     count = min(candidates, max(1, int(round(plan.fraction * candidates))))
-    rng = np.random.default_rng(plan.seed)
-    if plan.mode == "systematic":
-        stride = candidates / count
-        phase = float(rng.uniform(0.0, stride))
-        chosen = np.floor(phase + stride * np.arange(count)).astype(np.int64)
-        chosen = np.minimum(chosen, candidates - 1)
-    else:  # random
-        chosen = np.sort(rng.choice(candidates, size=count, replace=False))
+    stride = candidates / count
+    phase = float(np.random.default_rng(plan.seed).uniform(0.0, stride))
+    chosen = np.floor(phase + stride * np.arange(count)).astype(np.int64)
+    chosen = np.minimum(chosen, candidates - 1)
     intervals = tuple(
         Interval(int(c) * plan.window, int(c) * plan.window + plan.window)
         for c in chosen.tolist()

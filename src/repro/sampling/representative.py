@@ -44,13 +44,12 @@ import numpy as np
 from ..core.jobs import AssociativitySweepJob, SimulateJob, StackSweepJob
 from ..core.stackdist import (
     COLD_DISTANCE,
-    capacity_lines,
     kind_stream,
     purge_resets,
     set_stack_distances,
 )
 from ..trace.stream import Trace
-from .engine import _replay_windows, _sampled_report, _sampled_total, _surface_cells
+from .engine import _replay_windows, _sampled_report, _sampled_total, _SweepGrid
 from .estimators import (
     Estimate,
     SampledValue,
@@ -455,80 +454,35 @@ def _representative_info(
     )
 
 
-def representative_stack_sweep(
-    trace: Trace, job: StackSweepJob, plan: RepresentativeSampling
+def _representative_sweep(
+    trace: Trace,
+    job: StackSweepJob | AssociativitySweepJob,
+    plan: RepresentativeSampling,
 ) -> SampledValue:
-    """Estimate a :class:`StackSweepJob` curve from weighted medoids.
+    """Weighted-medoid estimates of a sweep, one set-count group at a time.
 
-    The medoid windows' prefix-warmed miss counts give the weighted point
-    estimate; the full windowed profile gives the deterministic proxy
-    bracket (rigorous here — the job *is* LRU demand fetch), so the truth
-    is guaranteed inside the reported interval.
+    Each group gets its own per-set windowed profile; the proxy bracket
+    holds per cell (the sweep is LRU demand fetch), refined by the
+    prefix's distinct-line coverage in one-set groups.
     """
-    caps_lines = capacity_lines(job.sizes, job.line_size, job.purge_interval)
+    grid = _SweepGrid.of(job)
     total = len(trace)
     selection = select_representatives(trace, job.line_size, plan)
-    if not selection.intervals:
-        nan = float("nan")
-        estimates = tuple(Estimate(nan, nan, nan, plan.confidence) for _ in caps_lines)
-        return SampledValue(
-            tuple(nan for _ in caps_lines),
-            _representative_info(plan, selection, total, estimates),
-        )
-
-    profile = window_profile(
-        trace,
-        job.line_size,
-        plan.window,
-        kinds=None if job.kinds is None else tuple(int(k) for k in job.kinds),
-        purge_interval=job.purge_interval,
-    )
-    counts = window_miss_counts(profile, caps_lines)
-    bias = overcount_bounds(profile, caps_lines)
+    nan = float("nan")
+    estimates = [Estimate(nan, nan, nan, plan.confidence)] * (grid.rows * grid.cols)
     medoids = selection.indices
-    estimates = representative_estimates(
-        counts[medoids],
-        profile.refs[medoids].astype(float),
-        selection.weights,
-        proxy_numerators=counts,
-        proxy_denominators=profile.refs.astype(float),
-        labels=selection.labels,
-        bias_up=bias.sum(axis=0),
-        confidence=plan.confidence,
-        clip=(0.0, 1.0),
-    )
-    value = tuple(e.value for e in estimates)
-    info = _representative_info(plan, selection, total, tuple(estimates))
-    return SampledValue(value, info)
-
-
-def representative_associativity_sweep(
-    trace: Trace, job: AssociativitySweepJob, plan: RepresentativeSampling
-) -> SampledValue:
-    """Estimate an :class:`AssociativitySweepJob` surface from medoids.
-
-    Each set-count group gets its own per-set windowed profile; the
-    proxy bracket holds per cell (the sweep is LRU demand fetch), with
-    the unrefined cold bound for multi-set groups.
-    """
-    groups, rows, cols = _surface_cells(job)
-    total = len(trace)
-    selection = select_representatives(trace, job.line_size, plan)
-    metrics = rows * cols
-    if not selection.intervals:
-        nan = float("nan")
-        estimates = tuple(Estimate(nan, nan, nan, plan.confidence) for _ in range(metrics))
-        surface = tuple(tuple(nan for _ in range(cols)) for _ in range(rows))
-        return SampledValue(
-            surface, _representative_info(plan, selection, total, estimates)
-        )
-
-    medoids = selection.indices
-    estimates: list[Estimate | None] = [None] * metrics
+    # An empty trace has no medoids: every ratio stays unknown (NaN).
+    groups = grid.groups if selection.intervals else {}
     for num_sets, cells in groups.items():
-        profile = window_profile(trace, job.line_size, plan.window, num_sets=num_sets)
-        ways = sorted({way for _i, _j, way in cells})
-        thresholds = np.asarray(ways, dtype=np.int64)
+        profile = window_profile(
+            trace,
+            job.line_size,
+            plan.window,
+            kinds=grid.kinds,
+            purge_interval=grid.purge_interval,
+            num_sets=num_sets,
+        )
+        thresholds = np.asarray(sorted({t for _i, _j, t in cells}), dtype=np.int64)
         counts = window_miss_counts(profile, thresholds)
         bias = overcount_bounds(profile, thresholds, refine=num_sets == 1)
         group_estimates = representative_estimates(
@@ -542,15 +496,33 @@ def representative_associativity_sweep(
             confidence=plan.confidence,
             clip=(0.0, 1.0),
         )
-        column_of = {way: column for column, way in enumerate(ways)}
-        for i, j, way in cells:
-            estimates[i * cols + j] = group_estimates[column_of[way]]
+        column_of = {t: column for column, t in enumerate(thresholds.tolist())}
+        for i, j, t in cells:
+            estimates[i * grid.cols + j] = group_estimates[column_of[t]]
 
-    surface = tuple(
-        tuple(estimates[i * cols + j].value for j in range(cols)) for i in range(rows)
-    )
     info = _representative_info(plan, selection, total, tuple(estimates))
-    return SampledValue(surface, info)
+    return SampledValue(grid.value(job, estimates), info)
+
+
+def representative_stack_sweep(
+    trace: Trace, job: StackSweepJob, plan: RepresentativeSampling
+) -> SampledValue:
+    """Estimate a :class:`StackSweepJob` curve from weighted medoids.
+
+    The medoid windows' prefix-warmed miss counts give the weighted point
+    estimate; the full windowed profile gives the deterministic proxy
+    bracket (rigorous here — the job *is* LRU demand fetch), so the truth
+    is guaranteed inside the reported interval.
+    """
+    return _representative_sweep(trace, job, plan)
+
+
+def representative_associativity_sweep(
+    trace: Trace, job: AssociativitySweepJob, plan: RepresentativeSampling
+) -> SampledValue:
+    """Estimate an :class:`AssociativitySweepJob` surface from medoids,
+    with the unrefined cold bound for multi-set groups."""
+    return _representative_sweep(trace, job, plan)
 
 
 def representative_simulate(

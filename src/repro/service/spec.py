@@ -224,6 +224,15 @@ def encode_sampling(plan: SamplingPlan) -> dict:
 
 
 def _plan_kwargs(doc: dict, fields: dict) -> dict:
+    """The plan's constructor arguments; any other key is an error, so a
+    client asking for a removed option is told instead of silently
+    getting a different plan."""
+    unknown = sorted(set(doc) - set(fields) - {"plan"})
+    if unknown:
+        raise SpecError(
+            f"unknown {doc['plan']} sampling option(s) {', '.join(unknown)}; "
+            f"known: {', '.join(fields)}"
+        )
     kwargs = {}
     for name, convert in fields.items():
         if name in doc and doc[name] is not None:
@@ -234,8 +243,6 @@ def _plan_kwargs(doc: dict, fields: dict) -> dict:
 _INTERVAL_PLAN_FIELDS = dict(
     fraction=float,
     window=int,
-    mode=str,
-    warmup=str,
     warmup_fraction=float,
     seed=int,
     confidence=float,
@@ -265,9 +272,10 @@ _REPRESENTATIVE_PLAN_FIELDS = dict(
 def decode_sampling(doc) -> SamplingPlan:
     """Reconstruct a sampling plan from its wire document.
 
-    Raises :class:`SpecError` on unknown plan families or invalid
-    parameters (the dataclass validators' ``ValueError`` is re-raised as
-    a spec error so the server maps it to a 400).
+    Raises :class:`SpecError` on unknown plan families, keys that are not
+    fields of the named plan, or invalid parameters (the dataclass
+    validators' ``ValueError`` is re-raised as a spec error so the server
+    maps it to a 400).
     """
     if not isinstance(doc, dict):
         raise SpecError("sampling spec must be an object")

@@ -116,11 +116,3 @@ class TestMechanismCacheKeys:
             key(MechanismConfig(l2_size=8192)),
         }
         assert len(keys) == 5
-
-    def test_allow_warm_stays_out_of_the_key(self):
-        spec = TraceSpec.catalog("VCCOM", length=1000)
-        a = CampaignCell(label="x", trace=spec, job=SimulateJob(size=1024))
-        b = CampaignCell(
-            label="x", trace=spec, job=SimulateJob(size=1024, allow_warm=True)
-        )
-        assert cell_key(a) == cell_key(b)

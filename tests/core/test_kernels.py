@@ -34,6 +34,7 @@ from repro.core import (
     policy_factory,
     simulate,
 )
+from repro.core.jobs import AssociativitySweepJob, StackSweepJob
 from repro.trace import Trace, TraceMetadata
 
 
@@ -426,3 +427,14 @@ class TestAllAssociativitySweep:
         hits, total = all_associativity_hit_counts(np.empty(0, dtype=np.int64), 4, 4)
         assert total == 0
         assert (hits == 0).all()
+
+    def test_empty_stream_surface_is_nan(self):
+        # An unobserved miss ratio is unknown, not perfect: the same NaN an
+        # empty stack sweep reports, for the surface and for its job.
+        empty = random_trace(3, length=20)[0:0]
+        surface = associativity_miss_surface(empty, (1, None), (256, 1024))
+        assert surface.shape == (2, 2)
+        assert np.isnan(surface).all()
+        value = AssociativitySweepJob(ways=(None,), capacities=(256,)).run(empty)
+        assert len(value) == 1 and np.isnan(value[0][0])
+        assert np.isnan(StackSweepJob(sizes=(256,)).run(empty)[0])

@@ -26,16 +26,6 @@ class TestIntervalSamplingValidation:
         with pytest.raises(ValueError, match="window"):
             IntervalSampling(window=0)
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            IntervalSampling(mode="clairvoyant")
-        with pytest.raises(ValueError, match="mode"):
-            IntervalSampling(mode="stratified")
-
-    def test_unknown_warmup_rejected(self):
-        with pytest.raises(ValueError, match="warmup"):
-            IntervalSampling(warmup="psychic")
-
     def test_fraction_above_ceiling_rejected(self):
         with pytest.raises(ValueError, match="max_fraction"):
             IntervalSampling(fraction=0.6, max_fraction=0.5)
@@ -44,11 +34,10 @@ class TestIntervalSamplingValidation:
         with pytest.raises(ValueError, match="growth"):
             IntervalSampling(growth=1.0)
 
-    def test_warmup_references_only_for_discard(self):
-        assert IntervalSampling(window=1000, warmup="discard",
+    def test_warmup_references_follow_the_fraction(self):
+        assert IntervalSampling(window=1000,
                                 warmup_fraction=0.5).warmup_references == 500
-        assert IntervalSampling(warmup="cold").warmup_references == 0
-        assert IntervalSampling(warmup="stitch").warmup_references == 0
+        assert IntervalSampling(warmup_fraction=0.0).warmup_references == 0
 
     def test_grown_caps_at_max_fraction(self):
         plan = IntervalSampling(fraction=0.4, max_fraction=0.5, growth=2.0)
@@ -101,7 +90,7 @@ class TestSelectIntervals:
         assert selection.expansion.tolist() == [1.0]
 
     def test_systematic_windows_are_distinct_and_ordered(self):
-        plan = IntervalSampling(fraction=0.25, window=100, mode="systematic")
+        plan = IntervalSampling(fraction=0.25, window=100)
         selection = select_intervals(plan, 10_000)
         starts = [iv.start for iv in selection.intervals]
         assert starts == sorted(starts)
@@ -117,12 +106,13 @@ class TestSelectIntervals:
         again = select_intervals(plan, 10_000)
         assert first.intervals == again.intervals
 
-    def test_random_mode_is_seeded(self):
-        plan = IntervalSampling(fraction=0.2, window=100, mode="random", seed=5)
+    def test_systematic_phase_is_seeded(self):
+        # Seeds 5 and 6 draw phases 4.03 and 2.69 of the 5-window stride.
+        plan = IntervalSampling(fraction=0.2, window=100, seed=5)
         first = select_intervals(plan, 10_000)
         again = select_intervals(plan, 10_000)
         other = select_intervals(
-            IntervalSampling(fraction=0.2, window=100, mode="random", seed=6), 10_000
+            IntervalSampling(fraction=0.2, window=100, seed=6), 10_000
         )
         assert first.intervals == again.intervals
         assert first.intervals != other.intervals

@@ -254,6 +254,10 @@ class TestSampledCampaigns:
             with pytest.raises(ServiceError) as excinfo:
                 client.submit(document)
             assert excinfo.value.status == 400
+            document["sampling"] = {"plan": "interval", "warmup": "stitch"}
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(document)
+            assert excinfo.value.status == 400
 
 
 class TestPoolStreams:

@@ -173,7 +173,7 @@ class TestSamplingSpec:
     """Sampling plans must round-trip the wire with identity intact."""
 
     PLANS = [
-        IntervalSampling(fraction=0.2, window=750, mode="random", seed=3),
+        IntervalSampling(fraction=0.2, window=750, warmup_fraction=0.0, seed=3),
         IntervalSampling(target_rel_err=0.05),
         SetSampling(bits=4, keep=3, seed=1),
         RepresentativeSampling(clusters=6, window=1500, seed=2),
@@ -200,8 +200,10 @@ class TestSamplingSpec:
             decode_sampling({"plan": "representative", "clusters": 0})
         with pytest.raises(SpecError, match="malformed"):
             decode_sampling({"plan": "interval", "fraction": 2.0})
-        with pytest.raises(SpecError, match="mode must be one of"):
+        with pytest.raises(SpecError, match="unknown interval sampling option"):
             decode_sampling({"plan": "interval", "mode": "stratified"})
+        with pytest.raises(SpecError, match="unknown interval sampling option"):
+            decode_sampling({"plan": "interval", "warmup": "stitch"})
 
     def test_summarize_sampling_of_exact_cell_is_empty(self):
         assert summarize_sampling(None) == {}

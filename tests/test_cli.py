@@ -233,7 +233,7 @@ class TestCampaignCommand:
                   "--length", "4000", "--no-cache",
                   "--sampling", "0.1", "--sampling-mode", "stratified"])
         assert excinfo.value.code == 2
-        assert "invalid choice: 'stratified'" in capsys.readouterr().err
+        assert "unrecognized arguments: --sampling-mode" in capsys.readouterr().err
 
     def test_remote_sampled_campaign(self, capsys, tmp_path, monkeypatch):
         from repro.service import SERVICE_URL_ENV, BackgroundServer, Scheduler
