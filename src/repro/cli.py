@@ -208,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="transient-failure retries per cell "
                    "(default: REPRO_RETRIES or 2)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="per-cell wall-time limit, pool and fleet only "
+                   help="per-cell wall-time limit, process pool only "
                    "(default: REPRO_CELL_TIMEOUT or none)")
     p.add_argument("--sampling", type=_sampling_arg, default=None,
                    metavar="FRACTION|representative",
@@ -241,10 +241,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=None,
                    help="bind port; 0 picks a free one "
                    "(default: REPRO_SERVICE_PORT or 8795)")
-    p.add_argument("--backend", default=None,
-                   choices=["inline", "pool", "fleet"],
-                   help="execution backend (default: REPRO_SERVICE_BACKEND "
-                   "or pool)")
+    p.add_argument("--backend", default="pool", choices=["pool", "inline"],
+                   help="execution backend: a process pool (default) or "
+                   "threads inside the service process (debugging)")
     p.add_argument("--workers", type=int, default=None,
                    help="backend capacity (default: REPRO_WORKERS or CPU count)")
     p.add_argument("--cache-dir", default=None,
@@ -493,28 +492,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
     kind = "stack sweep" if args.stack else "simulation"
     if plan is not None:
-        # Sampled campaigns render estimate ± CI cells.
-        rows = []
-        if args.stack:
-            for outcome in result.outcomes:
-                cells_text = (
-                    [str(e) for e in outcome.sampling.estimates]
-                    if outcome.ok
-                    else ["failed"] * len(sizes)
-                )
-                rows.append((outcome.label, *cells_text))
-        else:
-            by_name: dict[str, list[str]] = {}
-            for outcome in result.outcomes:
-                name = outcome.label.rsplit("/", 1)[0]
-                by_name.setdefault(name, []).append(
-                    str(outcome.sampling.estimates[0]) if outcome.ok else "failed"
-                )
-            rows = [(name, *cells_text) for name, cells_text in by_name.items()]
-        print(analysis.render_table(
-            ["trace \\ bytes", *[str(s) for s in sizes]], rows,
-            title=f"Sampled campaign miss ratios ({kind}, "
-            f"{int(plan.confidence * 100)}% CI)",
+        print(_sampled_table(
+            "Sampled campaign miss ratios", kind, plan, sizes, args.stack,
+            [(o.label, o.sampling.estimates if o.ok else None)
+             for o in result.outcomes],
         ))
         sampled = [o.sampling for o in result.outcomes if o.ok and o.sampling]
         if sampled:
@@ -560,6 +541,44 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
               "the failures (successes are cached)", file=sys.stderr)
         return 1
     return 0
+
+
+def _sampled_table(title, kind, plan, sizes, stack, outcomes) -> str:
+    """A sampled campaign's table, each cell ``estimate ± half-width``.
+
+    ``outcomes`` are ``(label, estimates)`` pairs, ``estimates`` None for
+    a failed cell: local and remote campaigns tabulate through here.
+    """
+    by_name: dict[str, list[str]] = {}
+    for label, estimates in outcomes:
+        texts = [str(e) for e in estimates] if estimates is not None else None
+        if stack:
+            by_name[label] = texts or ["failed"] * len(sizes)
+        else:
+            by_name.setdefault(label.rsplit("/", 1)[0], []).append(
+                texts[0] if texts else "failed"
+            )
+    return analysis.render_table(
+        ["trace \\ bytes", *[str(s) for s in sizes]],
+        [(name, *texts) for name, texts in by_name.items()],
+        title=f"{title} ({kind}, {int(plan.confidence * 100)}% CI)",
+    )
+
+
+def _wire_estimates(outcome: dict):
+    """The estimates of one remote result's sampling block (None if failed)."""
+    from .sampling import Estimate
+
+    if not outcome["ok"]:
+        return None
+    nan = float("nan")
+    return [
+        Estimate(
+            nan if e["value"] is None else e["value"],
+            *(nan if edge is None else edge for edge in e["ci"]),
+        )
+        for e in outcome["sampling"]["estimates"]
+    ]
 
 
 def _run_remote_campaign(
@@ -612,29 +631,32 @@ def _run_remote_campaign(
 
     results = final.get("results") or []
     kind = "stack sweep" if args.stack else "simulation"
-    metric = "effective_miss_ratio" if mechanisms is not None else "miss_ratio"
-    series: dict[str, list[float]] = {}
-    if args.stack:
-        for outcome in results:
-            curve = (outcome.get("value") or {}).get("curve") if outcome["ok"] else None
-            series[outcome["label"]] = [
-                float("nan") if v is None else v
-                for v in (curve or [None] * len(sizes))
-            ]
+    if sampling is not None:
+        print(_sampled_table(
+            "Remote campaign miss ratios", kind, sampling, sizes, args.stack,
+            [(o["label"], _wire_estimates(o)) for o in results],
+        ))
     else:
+        metric = "effective_miss_ratio" if mechanisms is not None else "miss_ratio"
+        series: dict[str, list[float]] = {}
         for outcome in results:
-            name = outcome["label"].rsplit("/", 1)[0]
             value = (outcome.get("value") or {}) if outcome["ok"] else {}
-            ratio = value.get(metric, value.get("miss_ratio"))
-            series.setdefault(name, []).append(
-                float("nan") if ratio is None else ratio
-            )
-    if mechanisms is not None:
-        kind += ", effective miss ratio with miss-path mechanisms"
-    print(analysis.render_series(
-        "trace \\ bytes", sizes, series,
-        title=f"Remote campaign miss ratios ({kind})",
-    ))
+            if args.stack:
+                series[outcome["label"]] = [
+                    float("nan") if v is None else v
+                    for v in (value.get("curve") or [None] * len(sizes))
+                ]
+            else:
+                ratio = value.get(metric, value.get("miss_ratio"))
+                series.setdefault(outcome["label"].rsplit("/", 1)[0], []).append(
+                    float("nan") if ratio is None else ratio
+                )
+        if mechanisms is not None:
+            kind += ", effective miss ratio with miss-path mechanisms"
+        print(analysis.render_series(
+            "trace \\ bytes", sizes, series,
+            title=f"Remote campaign miss ratios ({kind})",
+        ))
     print()
     print(f"campaign {final['id']} [{final['status']}]: {final['cells']} cells "
           f"({final['cached']} cached, {final['shared']} shared, "
@@ -652,8 +674,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import os
     import signal
 
-    from .service import Scheduler, create_backend
-    from .service.http import DEFAULT_HOST, DEFAULT_PORT, ServiceServer
+    from .campaign import worker_count
+    from .service import InlineBackend, PoolBackend, Scheduler
+    from .service.http import DEFAULT_HOST, DEFAULT_PORT, serve
     from .trace.store import TRACE_STORE_ENV
 
     if args.trace_store:
@@ -662,10 +685,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     port = args.port
     if port is None:
         port = int(os.environ.get("REPRO_SERVICE_PORT") or DEFAULT_PORT)
-    backend_name = (
-        args.backend or os.environ.get("REPRO_SERVICE_BACKEND") or "pool"
-    )
-    backend = create_backend(backend_name, args.workers)
+    if args.backend == "inline":
+        backend = InlineBackend(worker_count(args.workers))
+    else:
+        backend = PoolBackend(args.workers)
     scheduler = Scheduler(
         backend,
         cache=args.cache_dir,
@@ -674,30 +697,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         events=args.events,
     )
 
-    async def body():
-        # SIGTERM cancels this task like Ctrl-C does, so the ``finally``
-        # below shuts the backend down instead of orphaning pool workers.
-        with contextlib.suppress(NotImplementedError):  # no signals on Windows
-            asyncio.get_running_loop().add_signal_handler(
-                signal.SIGTERM, asyncio.current_task().cancel
-            )
-        server = ServiceServer(scheduler, host, port)
-        await server.start()
+    def ready(server):
         cache = (
             scheduler.cache.root if scheduler.cache is not None else "disabled"
         )
         print(f"campaign service listening on {server.url} "
-              f"(backend={backend_name} capacity={backend.capacity} "
+              f"(backend={args.backend} capacity={backend.capacity} "
               f"cache={cache})", file=sys.stderr, flush=True)
-        try:
-            await server.serve_forever()
-        finally:
-            await server.close()
 
-    try:
+    async def body():
+        # SIGTERM cancels this task like Ctrl-C does, so ``serve`` closes
+        # the server and the backend instead of orphaning pool workers.
+        with contextlib.suppress(NotImplementedError):  # no signals on Windows
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGTERM, asyncio.current_task().cancel
+            )
+        await serve(scheduler, host, port, ready=ready)
+
+    with contextlib.suppress(KeyboardInterrupt, asyncio.CancelledError):
         asyncio.run(body())
-    except (KeyboardInterrupt, asyncio.CancelledError):
-        print("campaign service stopped", file=sys.stderr)
+    print("campaign service stopped", file=sys.stderr)
     return 0
 
 

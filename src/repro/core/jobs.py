@@ -75,7 +75,9 @@ __all__ = [
 #: matching :attr:`SimulationReport.instruction_miss_ratio`.
 #: Interval-plan identities later lost their ``strata`` key, and then their
 #: ``mode`` and ``warmup`` keys, without a bump: interval-sampled cell keys
-#: changed each time, every other key stayed.
+#: changed each time, every other key stayed.  ``SetSampling()``'s default
+#: ``keep`` later went from 2 to 4, also without a bump: set-sampled cells
+#: built from the default plan got new keys, explicit plans kept theirs.
 CACHE_SCHEMA_VERSION = 6
 
 _WRITE_POLICIES = {

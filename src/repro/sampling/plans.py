@@ -159,14 +159,15 @@ class SetSampling:
         bits: low address bits defining ``2**bits`` classes.
         keep: classes simulated.  With ``keep=1`` there is no cross-class
             variance information, so the reported CI collapses to the
-            point estimate; use at least 2 for a meaningful interval.
+            point estimate; ``keep=2`` gives the bootstrap too little of
+            it and under-covers, so the default keeps half the classes.
         seed: class-choice and bootstrap seed.
         confidence: CI confidence level.
         bootstrap: bootstrap replicates over classes.
     """
 
     bits: int = 3
-    keep: int = 2
+    keep: int = 4
     seed: int = 0
     confidence: float = 0.95
     bootstrap: int = 200

@@ -1,4 +1,4 @@
-"""The campaign service: async scheduling, pluggable backends, HTTP/SSE.
+"""The campaign service: async scheduling, execution backends, HTTP/SSE.
 
 The service tier turns :func:`repro.campaign.run_campaign` — a
 single-process library call — into a shared facility many clients can
@@ -7,8 +7,8 @@ hit concurrently without multiplying work (``docs/service.md``):
 * :mod:`repro.service.scheduler` — async scheduler that splits
   campaigns into content-addressed cells and dedupes them across
   clients, processes, and the on-disk result cache;
-* :mod:`repro.service.backends` — pluggable execution backends
-  (in-process threads, a process pool, a subprocess worker fleet);
+* :mod:`repro.service.backends` — execution backends (a process pool,
+  and in-process threads for tests and debugging);
 * :mod:`repro.service.queue` — priority admission queue with per-user
   quotas and fair-share start order;
 * :mod:`repro.service.http` / :mod:`repro.service.client` — the
@@ -22,14 +22,7 @@ CLI: ``repro-cachesim serve`` runs the service;
 SSE stream.
 """
 
-from .backends import (
-    BACKENDS,
-    BackendCrash,
-    InlineBackend,
-    PoolBackend,
-    SubprocessFleetBackend,
-    create_backend,
-)
+from .backends import BackendCrash, InlineBackend, PoolBackend
 from .client import SERVICE_URL_ENV, ServiceClient, ServiceError
 from .http import BackgroundServer, ServiceServer, serve
 from .queue import FairShareQueue, QuotaExceeded
@@ -37,7 +30,6 @@ from .scheduler import CampaignState, Scheduler
 from .spec import SpecError, decode_cells, encode_cells, summarize_value
 
 __all__ = [
-    "BACKENDS",
     "BackendCrash",
     "BackgroundServer",
     "CampaignState",
@@ -51,8 +43,6 @@ __all__ = [
     "ServiceServer",
     "SERVICE_URL_ENV",
     "SpecError",
-    "SubprocessFleetBackend",
-    "create_backend",
     "decode_cells",
     "encode_cells",
     "serve",

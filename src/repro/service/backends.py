@@ -1,77 +1,50 @@
-"""Pluggable execution backends for the campaign scheduler.
+"""Execution backends for the campaign scheduler.
 
 The scheduler never executes a cell itself; it awaits
-``backend.run(cell)`` on whatever :class:`Backend` it was built with.
-A backend owns *where* cells run — the scheduler owns dedupe, caching,
-quotas, and event streams, so every backend gets those for free.
+``backend.run(cell)`` on whatever backend it was built with.  A backend
+owns *where* cells run — the scheduler owns dedupe, caching, quotas,
+retries and event streams, so every backend gets those for free.
 
-Three stdlib-only backends ship:
+Two stdlib-only backends ship:
 
-* :class:`InlineBackend` — runs cells on threads inside the service
-  process.  Zero startup cost; the right choice for tests, debugging,
-  and tiny traces (the simulation kernels release little of the GIL, so
-  its parallelism is nominal).
 * :class:`PoolBackend` — a ``ProcessPoolExecutor`` fed one cell at a
-  time; :func:`repro.campaign.run_campaign` runs local campaigns on it.
-  A worker crash breaks the whole executor, so the backend replaces the
-  pool and fails only the cells that were in flight.
-* :class:`SubprocessFleetBackend` — N long-lived worker processes
-  (``python -m repro.service.worker``) pulling cells over stdin/stdout
-  pipes (length-prefixed pickle frames).  Workers are independent: one
-  crashing loses only its own cell and is respawned, which makes this
-  the resilient choice for long-running services.
+  time: what ``repro-cachesim serve`` runs by default and what
+  :func:`repro.campaign.run_campaign` runs local campaigns on.  A worker
+  crash breaks the whole executor, so the backend replaces the pool and
+  fails only the cells that were in flight; the scheduler retries them.
+* :class:`InlineBackend` — runs cells on threads inside the service
+  process.  Zero startup cost, and its runner may be any callable (a
+  closure, a fake), which makes it the tier for tests, debugging and
+  tiny traces (the simulation kernels release little of the GIL, so its
+  parallelism is nominal).
 
-All backends expose ``capacity`` (concurrent cells the scheduler should
-keep in flight), are started with ``await backend.start()`` and torn
-down with ``await backend.close()``.  A cell whose *execution vehicle*
-died (not the cell's own exception) raises :class:`BackendCrash`; the
-scheduler retries it and, once retries run out, records a failed outcome
-rather than hanging.  ``preemptible`` says whether cancelling a running
-cell frees its worker: the pool and the fleet kill the worker, so the
-scheduler's per-cell timeout applies to them; a thread cannot be
-stopped, so it does not apply to :class:`InlineBackend`.
+Both expose ``capacity`` (concurrent cells the scheduler should keep in
+flight), are started with ``await backend.start()`` and torn down with
+``await backend.close()``.  A cell whose *execution vehicle* died (not
+the cell's own exception) raises :class:`BackendCrash`; the scheduler
+retries it and, once retries run out, records a failed outcome rather
+than hanging.  ``preemptible`` says whether cancelling a running cell
+frees its worker: the pool kills its workers, so the scheduler's
+per-cell timeout applies to it; a thread cannot be stopped, so it does
+not apply to :class:`InlineBackend`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import os
-import pickle
 import stat
-import struct
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 from ..campaign import worker_count
-from ..core.jobs import CampaignCell, CellError, CellResult, run_cell
-from .worker import MAX_FRAME_BYTES
+from ..core.jobs import CampaignCell, CellResult, run_cell
 
-__all__ = [
-    "BackendCrash",
-    "CellExecutionError",
-    "InlineBackend",
-    "PoolBackend",
-    "SubprocessFleetBackend",
-    "create_backend",
-    "BACKENDS",
-]
-
-_HEADER = struct.Struct(">Q")
+__all__ = ["BackendCrash", "InlineBackend", "PoolBackend"]
 
 
 class BackendCrash(RuntimeError):
     """The execution vehicle died under a cell (worker killed, pool broken)."""
-
-
-class CellExecutionError(RuntimeError):
-    """A cell raised inside a fleet worker; carries the structured error
-    and whether the worker judged the exception transient."""
-
-    def __init__(self, error: CellError, transient: bool) -> None:
-        super().__init__(str(error))
-        self.error = error
-        self.transient = transient
 
 
 class InlineBackend:
@@ -205,168 +178,3 @@ class PoolBackend:
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
-
-
-class _FleetWorker:
-    """One spawned worker process plus its frame protocol."""
-
-    def __init__(self, process: asyncio.subprocess.Process) -> None:
-        self.process = process
-
-    async def request(self, cell: CampaignCell) -> tuple[str, object]:
-        payload = pickle.dumps(cell, protocol=pickle.HIGHEST_PROTOCOL)
-        self.process.stdin.write(_HEADER.pack(len(payload)) + payload)
-        await self.process.stdin.drain()
-        header = await self.process.stdout.readexactly(_HEADER.size)
-        (length,) = _HEADER.unpack(header)
-        if length > MAX_FRAME_BYTES:
-            raise BackendCrash("fleet worker sent a corrupt frame header")
-        frame = await self.process.stdout.readexactly(length)
-        return pickle.loads(frame)
-
-    @property
-    def alive(self) -> bool:
-        return self.process.returncode is None
-
-    async def stop(self, *, kill: bool = False) -> None:
-        if kill:  # busy with a cell: it would not see EOF until done
-            try:
-                self.process.kill()
-            except ProcessLookupError:
-                pass
-        try:
-            if self.process.stdin is not None:
-                self.process.stdin.close()
-        except Exception:
-            pass
-        try:
-            await asyncio.wait_for(self.process.wait(), timeout=5.0)
-        except Exception:
-            try:
-                self.process.kill()
-                await self.process.wait()
-            except Exception:
-                pass
-
-
-class SubprocessFleetBackend:
-    """N worker subprocesses pulling cells over pipes.
-
-    Each worker is an independent ``python -m repro.service.worker``
-    process; an idle-worker queue hands cells to whichever worker is
-    free.  A worker that dies mid-cell (EOF on its pipe) fails only that
-    cell (:class:`BackendCrash`) and is replaced immediately, so the
-    fleet's capacity self-heals — unlike a broken process pool, the
-    blast radius is one cell.  A cell cancelled mid-run (the scheduler's
-    per-cell timeout) kills its worker, which is replaced the same way.
-    """
-
-    name = "fleet"
-    preemptible = True
-
-    def __init__(
-        self,
-        workers: int | None = None,
-        runner: str = "repro.core.jobs:run_cell",
-        python: str | None = None,
-    ) -> None:
-        self.capacity = worker_count(workers)
-        self._runner = runner
-        self._python = python or sys.executable
-        self._idle: asyncio.Queue[_FleetWorker] = asyncio.Queue()
-        self._workers: list[_FleetWorker] = []
-        self._closed = False
-        #: Workers replaced after a crash or a cancelled cell (test hook).
-        self.respawns = 0
-
-    async def _spawn(self) -> _FleetWorker:
-        process = await asyncio.create_subprocess_exec(
-            self._python,
-            "-m",
-            "repro.service.worker",
-            "--runner",
-            self._runner,
-            stdin=asyncio.subprocess.PIPE,
-            stdout=asyncio.subprocess.PIPE,
-            stderr=None,  # worker diagnostics go to the service's stderr
-            env=os.environ.copy(),
-        )
-        worker = _FleetWorker(process)
-        self._workers.append(worker)
-        return worker
-
-    async def start(self) -> None:
-        while len(self._workers) < self.capacity:
-            self._idle.put_nowait(await self._spawn())
-
-    async def run(self, cell: CampaignCell) -> CellResult:
-        if not self._workers:
-            await self.start()
-        worker = await self._idle.get()
-        try:
-            if not worker.alive:
-                raise asyncio.IncompleteReadError(b"", None)
-            reply = await worker.request(cell)
-        except asyncio.CancelledError:
-            # The worker may still be busy with this cell; handing it on
-            # would stall the next one, so kill it and respawn.
-            await self._replace(worker, kill=True)
-            raise
-        except (
-            asyncio.IncompleteReadError,
-            BrokenPipeError,
-            ConnectionResetError,
-            EOFError,
-            pickle.UnpicklingError,
-        ) as exc:
-            # The worker died (or garbled its pipe) under this cell:
-            # retire it, spawn a replacement, fail just this cell.
-            await self._replace(worker)
-            raise BackendCrash(
-                f"fleet worker died under cell {cell.label!r} "
-                f"(exit code {worker.process.returncode})"
-            ) from exc
-        self._idle.put_nowait(worker)
-        if reply[0] == "ok":
-            return reply[1]
-        _, error, transient = reply
-        raise CellExecutionError(error, transient)
-
-    async def _replace(self, worker: _FleetWorker, *, kill: bool = False) -> None:
-        """Retire ``worker`` and, unless the fleet is closing, spawn its successor."""
-        if worker in self._workers:
-            self._workers.remove(worker)
-        await worker.stop(kill=kill)
-        if not self._closed:
-            self.respawns += 1
-            self._idle.put_nowait(await self._spawn())
-
-    async def close(self) -> None:
-        self._closed = True
-        workers, self._workers = self._workers, []
-        while not self._idle.empty():
-            self._idle.get_nowait()
-        await asyncio.gather(
-            *(worker.stop() for worker in workers), return_exceptions=True
-        )
-
-
-#: Backend registry used by ``repro-cachesim serve --backend``.
-BACKENDS = {
-    "inline": InlineBackend,
-    "pool": PoolBackend,
-    "fleet": SubprocessFleetBackend,
-}
-
-
-def create_backend(name: str, workers: int | None = None):
-    """Build a backend by registry name (``inline`` / ``pool`` / ``fleet``)."""
-    try:
-        factory = BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; choose from {sorted(BACKENDS)}"
-        ) from None
-    if name == "inline":
-        return factory(capacity=worker_count(workers))
-    return factory(workers=workers)

@@ -283,8 +283,6 @@ async def serve(
         ready(server)
     try:
         await server.serve_forever()
-    except asyncio.CancelledError:
-        pass
     finally:
         await server.close()
 

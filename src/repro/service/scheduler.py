@@ -61,7 +61,7 @@ from ..campaign import (
 )
 from ..core.jobs import CampaignCell, CellError, CellResult, cell_key
 from ..store import ContentStore
-from .backends import BackendCrash, CellExecutionError
+from .backends import BackendCrash
 from .queue import FairShareQueue, QueueEntry, QuotaExceeded
 from .spec import summarize_sampling, summarize_value
 
@@ -632,7 +632,7 @@ class Scheduler:
             raise
         if not done:
             # Timed out: cancelling the run makes the backend kill the
-            # worker holding the cell (the pool rebuilds, the fleet respawns).
+            # worker holding the cell (the pool rebuilds).
             run.cancel()
             await asyncio.wait((run,))
             emit(
@@ -651,7 +651,5 @@ class Scheduler:
             ), False
         try:
             return run.result(), False
-        except CellExecutionError as exc:
-            return exc.error, exc.transient
         except Exception as exc:
             return CellError.from_exception(exc), isinstance(exc, TRANSIENT_EXCEPTIONS)

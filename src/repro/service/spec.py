@@ -114,7 +114,41 @@ def _opt_int(value) -> int | None:
     return None if value is None else int(value)
 
 
+def _known_kwargs(doc: dict, fields: dict, what: str, tag: str = "") -> dict:
+    """Constructor arguments for ``what`` from ``doc``: each key of
+    ``fields`` present and not null, converted.  Any other key but
+    ``tag`` (the one naming the job type or plan family) is an error, so
+    a client asking for an option that does not exist is told instead of
+    silently getting a different experiment."""
+    unknown = sorted(set(doc) - set(fields) - {tag})
+    if unknown:
+        raise SpecError(
+            f"unknown {what} option(s) {', '.join(unknown)}; "
+            f"known: {', '.join(fields)}"
+        )
+    return {
+        name: convert(doc[name])
+        for name, convert in fields.items()
+        if doc.get(name) is not None
+    }
+
+
 # ------------------------------ jobs ------------------------------
+
+def _json_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _tuple_of(convert, *, non_empty: bool = False):
+    def convert_list(value) -> tuple:
+        if not isinstance(value, list) or (non_empty and not value):
+            raise ValueError(f"expected a {'non-empty ' * non_empty}list, got {value!r}")
+        return tuple(convert(item) for item in value)
+
+    return convert_list
+
 
 _SIMULATE_FIELDS = dict(
     size=int,
@@ -123,92 +157,73 @@ _SIMULATE_FIELDS = dict(
     replacement=str,
     write=str,
     fetch=str,
-    split=bool,
+    split=_json_bool,
     purge_interval=_opt_int,
     limit=_opt_int,
     warmup=int,
 )
 
+_MECHANISM_FIELDS = dict(
+    victim_entries=int,
+    miss_entries=int,
+    stream_buffers=int,
+    stream_depth=int,
+    l2_size=_opt_int,
+    l2_line_size=_opt_int,
+    l2_associativity=_opt_int,
+)
 
-def _simulate_kwargs(doc: dict) -> dict:
-    if "size" not in doc:
-        raise SpecError("simulate job needs a 'size'")
-    kwargs = {}
-    for name, convert in _SIMULATE_FIELDS.items():
-        if name in doc:
-            kwargs[name] = convert(doc[name])
-    return kwargs
 
+def _mechanisms(doc) -> MechanismConfig:
+    if not isinstance(doc, dict):
+        raise ValueError(f"'mechanisms' must be an object, got {doc!r}")
+    return MechanismConfig(**_known_kwargs(doc, _MECHANISM_FIELDS, "mechanism"))
+
+
+#: Per job type (the ``job`` of its identity): its class and the fields
+#: :func:`_encode_job` emits.
+_JOB_TYPES = {
+    "simulate": (SimulateJob, _SIMULATE_FIELDS),
+    "mechanism-study": (
+        MechanismStudyJob,
+        dict(_SIMULATE_FIELDS, mechanisms=_mechanisms),
+    ),
+    "stack-sweep": (
+        StackSweepJob,
+        dict(
+            sizes=_tuple_of(int, non_empty=True),
+            line_size=int,
+            kinds=_tuple_of(int),
+            purge_interval=_opt_int,
+        ),
+    ),
+    "associativity-sweep": (
+        AssociativitySweepJob,
+        dict(ways=_tuple_of(_opt_int), capacities=_tuple_of(int), line_size=int),
+    ),
+}
 
 def _encode_job(job) -> dict:
+    doc = job.identity()
+    name = doc.pop("job")
+    if name not in _JOB_TYPES:
+        raise SpecError(
+            f"job type {type(job).__name__!r} cannot travel over the wire"
+        )
+    doc = {"type": name, **doc}
     if isinstance(job, MechanismStudyJob):
-        doc = {"type": "mechanism-study", **job.identity()}
-        doc.pop("job", None)
         doc["mechanisms"] = {
-            "victim_entries": job.mechanisms.victim_entries,
-            "miss_entries": job.mechanisms.miss_entries,
-            "stream_buffers": job.mechanisms.stream_buffers,
-            "stream_depth": job.mechanisms.stream_depth,
-            "l2_size": job.mechanisms.l2_size,
-            "l2_line_size": job.mechanisms.l2_line_size,
-            "l2_associativity": job.mechanisms.l2_associativity,
+            field: getattr(job.mechanisms, field) for field in _MECHANISM_FIELDS
         }
-        return doc
-    if isinstance(job, SimulateJob):
-        doc = {"type": "simulate", **job.identity()}
-        doc.pop("job", None)
-        return doc
-    if isinstance(job, StackSweepJob):
-        doc = {"type": "stack-sweep", **job.identity()}
-        doc.pop("job", None)
-        return doc
-    if isinstance(job, AssociativitySweepJob):
-        doc = {"type": "associativity-sweep", **job.identity()}
-        doc.pop("job", None)
-        return doc
-    raise SpecError(
-        f"job type {type(job).__name__!r} cannot travel over the wire"
-    )
+    return doc
 
 
 def _decode_job(doc: dict):
     kind = doc.get("type")
-    if kind == "simulate":
-        return SimulateJob(**_simulate_kwargs(doc))
-    if kind == "mechanism-study":
-        mech = doc.get("mechanisms") or {}
-        config = MechanismConfig(
-            victim_entries=int(mech.get("victim_entries", 0)),
-            miss_entries=int(mech.get("miss_entries", 0)),
-            stream_buffers=int(mech.get("stream_buffers", 0)),
-            stream_depth=int(mech.get("stream_depth", 4)),
-            l2_size=_opt_int(mech.get("l2_size")),
-            l2_line_size=_opt_int(mech.get("l2_line_size")),
-            l2_associativity=_opt_int(mech.get("l2_associativity")),
-        )
-        return MechanismStudyJob(mechanisms=config, **_simulate_kwargs(doc))
-    if kind == "stack-sweep":
-        sizes = doc.get("sizes")
-        if not isinstance(sizes, list) or not sizes:
-            raise SpecError("stack-sweep job needs a non-empty 'sizes' list")
-        kinds = doc.get("kinds")
-        return StackSweepJob(
-            sizes=tuple(int(s) for s in sizes),
-            line_size=int(doc.get("line_size", 16)),
-            kinds=tuple(int(k) for k in kinds) if kinds is not None else None,
-            purge_interval=_opt_int(doc.get("purge_interval")),
-        )
-    if kind == "associativity-sweep":
-        ways = doc.get("ways")
-        capacities = doc.get("capacities")
-        if not isinstance(ways, list) or not isinstance(capacities, list):
-            raise SpecError("associativity-sweep job needs 'ways' and 'capacities'")
-        return AssociativitySweepJob(
-            ways=tuple(_opt_int(w) for w in ways),
-            capacities=tuple(int(c) for c in capacities),
-            line_size=int(doc.get("line_size", 16)),
-        )
-    raise SpecError(f"unknown job type {kind!r}")
+    if kind not in _JOB_TYPES:
+        raise SpecError(f"unknown job type {kind!r}")
+    cls, fields = _JOB_TYPES[kind]
+    return cls(**_known_kwargs(doc, fields, f"{kind} job", "type"))
 
 
 # ---------------------------- sampling ----------------------------
@@ -223,50 +238,31 @@ def encode_sampling(plan: SamplingPlan) -> dict:
     return plan.identity()
 
 
-def _plan_kwargs(doc: dict, fields: dict) -> dict:
-    """The plan's constructor arguments; any other key is an error, so a
-    client asking for a removed option is told instead of silently
-    getting a different plan."""
-    unknown = sorted(set(doc) - set(fields) - {"plan"})
-    if unknown:
-        raise SpecError(
-            f"unknown {doc['plan']} sampling option(s) {', '.join(unknown)}; "
-            f"known: {', '.join(fields)}"
-        )
-    kwargs = {}
-    for name, convert in fields.items():
-        if name in doc and doc[name] is not None:
-            kwargs[name] = convert(doc[name])
-    return kwargs
-
-
-_INTERVAL_PLAN_FIELDS = dict(
-    fraction=float,
-    window=int,
-    warmup_fraction=float,
-    seed=int,
-    confidence=float,
-    bootstrap=int,
-    target_rel_err=float,
-    max_fraction=float,
-    growth=float,
-)
-
-_SET_PLAN_FIELDS = dict(
-    bits=int,
-    keep=int,
-    seed=int,
-    confidence=float,
-    bootstrap=int,
-)
-
-_REPRESENTATIVE_PLAN_FIELDS = dict(
-    clusters=int,
-    window=int,
-    seed=int,
-    confidence=float,
-    iterations=int,
-)
+#: Per plan family: its class and the fields its identity carries.
+_PLAN_FAMILIES = {
+    "interval": (
+        IntervalSampling,
+        dict(
+            fraction=float,
+            window=int,
+            warmup_fraction=float,
+            seed=int,
+            confidence=float,
+            bootstrap=int,
+            target_rel_err=float,
+            max_fraction=float,
+            growth=float,
+        ),
+    ),
+    "set": (
+        SetSampling,
+        dict(bits=int, keep=int, seed=int, confidence=float, bootstrap=int),
+    ),
+    "representative": (
+        RepresentativeSampling,
+        dict(clusters=int, window=int, seed=int, confidence=float, iterations=int),
+    ),
+}
 
 
 def decode_sampling(doc) -> SamplingPlan:
@@ -281,14 +277,9 @@ def decode_sampling(doc) -> SamplingPlan:
         raise SpecError("sampling spec must be an object")
     family = doc.get("plan")
     try:
-        if family == "interval":
-            return IntervalSampling(**_plan_kwargs(doc, _INTERVAL_PLAN_FIELDS))
-        if family == "set":
-            return SetSampling(**_plan_kwargs(doc, _SET_PLAN_FIELDS))
-        if family == "representative":
-            return RepresentativeSampling(
-                **_plan_kwargs(doc, _REPRESENTATIVE_PLAN_FIELDS)
-            )
+        if family in _PLAN_FAMILIES:
+            cls, fields = _PLAN_FAMILIES[family]
+            return cls(**_known_kwargs(doc, fields, f"{family} sampling", "plan"))
     except (TypeError, ValueError) as exc:
         raise SpecError(f"sampling spec is malformed: {exc}") from None
     raise SpecError(f"unknown sampling plan {family!r}")

@@ -168,6 +168,20 @@ class TestAssociativityAccuracy:
                 for j in range(truth.shape[1]):
                     assert estimates[i * truth.shape[1] + j].contains(truth[i, j])
 
+    def test_default_set_plan_covers_the_surface(self):
+        # 4 ways x 3 capacities over four traces at 50k refs: keeping 2 of
+        # 8 classes covered only 41/48 cells, keeping 4 covers 47/48.
+        job = AssociativitySweepJob(ways=(1, 2, 4, None), capacities=(1024, 4096, 16384))
+        covered = total = 0
+        for name in ("ZGREP", "VCCOM", "FGO1", "LISP1"):
+            trace = catalog.generate(name, 50_000)
+            truth = np.asarray(job.run(trace)).ravel()
+            value = run_sampled(trace, job, SetSampling())
+            covered += sum(e.contains(t) for e, t in zip(value.info.estimates, truth))
+            total += truth.size
+        assert total == 48
+        assert covered >= 46, f"default SetSampling covered {covered}/48"
+
     def test_set_sampling_exact_for_few_set_geometries(self, traces):
         # Fully associative rows (one set) and any geometry with fewer
         # sets than classes are computed exactly on the full stream.

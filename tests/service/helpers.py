@@ -1,17 +1,13 @@
 """Injectable runners for the service tests.
 
-These must stay module-level: the pool backend pickles them into worker
-processes, and the fleet backend resolves them by dotted path
-(``tests.service.helpers:crash_on_marker``) inside a fresh
-``python -m repro.service.worker`` subprocess — which works because
-``python -m`` puts the repo root on ``sys.path``.
+These must stay module-level: the pool backend pickles them by reference
+into its worker processes, which import this module to run them.
 
 Faults are marked in the cell *label* (the one field that never enters
 the cache key), same convention as ``tests/test_campaign_faults.py``:
 ``CRASH`` kills the hosting process, ``FAIL`` raises inside the runner,
 ``HANG`` sleeps far past any test timeout, ``SLOW`` sleeps long enough
-to create overlap windows for dedupe tests, and ``FLAKY:<path>`` raises
-``OSError`` until a marker file at ``<path>`` exists.
+to create overlap windows for dedupe tests.
 """
 
 import os
@@ -36,24 +32,6 @@ def fail_on_marker(cell):
     """Raise inside the runner for cells marked ``FAIL``."""
     if "FAIL" in cell.label:
         raise ValueError(f"injected failure: {cell.label}")
-    return fake_run(cell)
-
-
-def oserror_once_on_marker(cell):
-    """Raise ``OSError`` on the first run of a cell marked ``FLAKY:<path>``.
-
-    The first run creates the marker file at ``<path>`` and fails; any
-    later run, in any process, finds the file and succeeds — a transient
-    failure that one retry heals.
-    """
-    _, marked, path = cell.label.partition("FLAKY:")
-    if marked:
-        try:
-            with open(path, "x"):
-                pass
-        except FileExistsError:
-            return fake_run(cell)
-        raise OSError(f"injected transient failure: {cell.label}")
     return fake_run(cell)
 
 

@@ -258,6 +258,12 @@ class TestSampledCampaigns:
             with pytest.raises(ServiceError) as excinfo:
                 client.submit(document)
             assert excinfo.value.status == 400
+            # An unknown job key, like an unknown plan field, is a 400.
+            del document["sampling"]
+            document["cells"][0]["job"]["assoc"] = 4
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(document)
+            assert excinfo.value.status == 400
 
 
 class TestPoolStreams:

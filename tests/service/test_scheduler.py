@@ -9,12 +9,7 @@ import pytest
 from repro.campaign import ResultCache
 
 from repro.core.jobs import CampaignCell, SimulateJob, StackSweepJob, TraceSpec
-from repro.service.backends import (
-    BackendCrash,
-    InlineBackend,
-    PoolBackend,
-    SubprocessFleetBackend,
-)
+from repro.service.backends import BackendCrash, InlineBackend, PoolBackend
 from repro.service.queue import QuotaExceeded
 from repro.service.scheduler import Scheduler
 
@@ -23,7 +18,6 @@ from .helpers import (
     fake_run,
     hang_on_marker,
     linger_on_marker,
-    oserror_once_on_marker,
     slow_fake_run,
 )
 
@@ -489,17 +483,6 @@ class TestTimeoutAndRetry:
         )
         self.check_timed_out_then_recovered(state, 1.0)
 
-    def test_hung_fleet_cell_times_out_and_the_worker_is_replaced(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "3")
-        backend = SubprocessFleetBackend(
-            workers=1, runner="tests.service.helpers:hang_on_marker"
-        )
-        state = self.run_hung_then_healthy(tmp_path, backend)
-        self.check_timed_out_then_recovered(state, 3.0)
-        assert backend.respawns == 1
-
     def test_transient_failure_is_retried(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
         calls = []
@@ -527,28 +510,3 @@ class TestTimeoutAndRetry:
         assert retried[0]["error"] == "OSError" and retried[0]["attempt"] == 1
         finished = [e for e in state.events if e["event"] == "cell_finished"]
         assert finished[0]["attempts"] == 2
-
-    def test_transient_failure_in_a_fleet_cell_is_retried(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
-        [cell] = make_cells(1)
-        cell = CampaignCell(f"FLAKY:{tmp_path / 'marker'}", cell.trace, cell.job)
-        backend = SubprocessFleetBackend(
-            workers=1, runner="tests.service.helpers:oserror_once_on_marker"
-        )
-
-        async def body():
-            scheduler = Scheduler(backend, cache=tmp_path / "cache")
-            await scheduler.start()
-            try:
-                return await asyncio.wait_for(run_to_done(scheduler, [cell]), 60)
-            finally:
-                await scheduler.close()
-
-        state = asyncio.run(body())
-        assert state.outcomes[0]["ok"] is True
-        retried = [e for e in state.events if e["event"] == "cell_retried"]
-        assert len(retried) == 1
-        assert retried[0]["error"] == "OSError" and retried[0]["attempt"] == 1
-        finished = [e for e in state.events if e["event"] == "cell_finished"]
-        assert finished[0]["attempts"] == 2
-        assert backend.respawns == 0

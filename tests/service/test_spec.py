@@ -120,6 +120,34 @@ class TestRejections:
                             "job": {"type": "simulate"}}]}
             )
 
+    @pytest.mark.parametrize(
+        "job",
+        [
+            {"type": "simulate", "size": 1024, "assoc": 4},
+            {"type": "stack-sweep", "sizes": [1024], "purge": 20000},
+            {"type": "associativity-sweep", "ways": [1], "capacities": [1024],
+             "line": 32},
+            {"type": "mechanism-study", "size": 1024, "mechanisms": {"victim": 4}},
+        ],
+        ids=["simulate", "stack-sweep", "associativity-sweep", "mechanisms"],
+    )
+    def test_unknown_job_key_is_rejected(self, job):
+        # Dropping the key would run (and cache) a different experiment.
+        with pytest.raises(SpecError, match="unknown .* option"):
+            decode_cells(
+                {"cells": [{"trace": {"kind": "catalog", "name": "ZGREP"},
+                            "job": job}]}
+            )
+
+    @pytest.mark.parametrize("split", ["false", "true", 0, 1])
+    def test_split_must_be_a_json_boolean(self, split):
+        with pytest.raises(SpecError, match="true or false"):
+            decode_cells(
+                {"cells": [{"trace": {"kind": "catalog", "name": "ZGREP"},
+                            "job": {"type": "simulate", "size": 1024,
+                                    "split": split}}]}
+            )
+
     def test_cell_ceiling(self):
         doc = {"cells": [{"trace": {"kind": "catalog", "name": "ZGREP"},
                           "job": {"type": "simulate", "size": 1024}}] * 3}

@@ -253,6 +253,36 @@ class TestCampaignCommand:
         assert "Remote campaign miss ratios" in out
         assert "1 simulated" in out
 
+    @pytest.mark.parametrize("stack", [False, True], ids=["simulate", "stack"])
+    def test_remote_sampled_rows_match_local(self, capsys, tmp_path, stack):
+        from repro.service import BackgroundServer, InlineBackend, Scheduler
+
+        argv = ["campaign", "--traces", "ZGREP,PLO", "--sizes", "512,2048",
+                "--length", "4000", "--sampling", "representative",
+                "--clusters", "3", *(["--stack"] if stack else [])]
+
+        def rows(out):
+            return [line for line in out.splitlines()
+                    if line.lstrip().startswith(("ZGREP", "PLO"))]
+
+        code, local = run_cli(capsys, *argv, "--no-cache")
+        assert code == 0
+        scheduler = Scheduler(
+            InlineBackend(capacity=2), cache=tmp_path / "cache"
+        )
+        with BackgroundServer(scheduler) as server:
+            code, remote = run_cli(capsys, *argv, "--remote", server.url)
+        assert code == 0
+        assert "Remote campaign miss ratios" in remote
+        assert len(rows(local)) == 2 and "±" in rows(local)[0]
+        assert rows(remote) == rows(local)
+
+    def test_serve_rejects_an_unknown_backend(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--backend", "fleet"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'fleet'" in capsys.readouterr().err
+
     @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
     def test_serve_stops_its_pool_workers_on_sigterm(self, tmp_path):
         from repro.core.jobs import CampaignCell, SimulateJob, TraceSpec
